@@ -1,18 +1,14 @@
-// Command benchmilp measures the branch-and-bound worker pool on the
-// deterministic hard-knapsack family at paper scale (5·N binaries for N
-// sites, paper §IV) and writes the results as JSON for CI artifacts and
-// cross-machine comparison.
+// Command benchmilp measures the MILP solver at paper scale (5·N binaries
+// for N sites, paper §IV) and writes the results as JSON for CI artifacts
+// and cross-machine comparison: the dense and sparse LP cores on the
+// deterministic hard-knapsack family, cold versus incremental re-solves of
+// the paper-hour family, and (with -fleet) the exact MILP against dual
+// decomposition at fleet scale.
 //
 // Usage:
 //
 //	benchmilp -out BENCH_milp.json          # full run: 4000-node budget, 3 reps
 //	benchmilp -quick -out BENCH_milp.json   # CI smoke: 1000-node budget, 1 rep
-//
-// Every (sites, workers) cell explores the same fixed node budget on the
-// same instance, so wall time is directly comparable across worker counts
-// and speedup = wall(1 worker) / wall(w workers). GOMAXPROCS is recorded
-// because speedup is bounded by the cores actually available — on a 1-CPU
-// box every ratio is ≈1 by construction.
 package main
 
 import (
@@ -28,22 +24,6 @@ import (
 	"billcap/internal/lp"
 	"billcap/internal/milp"
 )
-
-type workerResult struct {
-	Workers     int     `json:"workers"`
-	WallMS      float64 `json:"wallMS"`
-	Nodes       int     `json:"nodes"`
-	NodesPerSec float64 `json:"nodesPerSec"`
-	Speedup     float64 `json:"speedup"` // wall(1 worker) / wall(this)
-	Status      string  `json:"status"`
-	Objective   float64 `json:"objective"`
-}
-
-type instanceResult struct {
-	Sites    int            `json:"sites"`
-	Binaries int            `json:"binaries"`
-	Results  []workerResult `json:"results"`
-}
 
 // incrementalResult compares a cold hour-by-hour re-solve of the paper-hour
 // family against the incremental path (presolve + previous hour's optimum
@@ -61,9 +41,9 @@ type incrementalResult struct {
 	NodeReduction float64 `json:"nodeReduction"` // 1 − warmNodes/coldNodes
 }
 
-// coreResult is one LP core's run of the fixed-budget knapsack instance
-// (sequential workers, so node ordering — and thus the explored tree — is
-// identical across cores and the wall-clock ratio is a pure LP-core ratio).
+// coreResult is one LP core's run of the fixed-budget knapsack instance (the
+// search is deterministic, so the explored tree is identical across cores and
+// the wall-clock ratio is a pure LP-core ratio).
 type coreResult struct {
 	Core             string  `json:"core"`
 	WallMS           float64 `json:"wallMS"`
@@ -118,7 +98,6 @@ type report struct {
 	GoMaxProcs  int                 `json:"goMaxProcs"`
 	MaxNodes    int                 `json:"maxNodes"`
 	Reps        int                 `json:"reps"`
-	Instances   []instanceResult    `json:"instances"`
 	LPCores     []coreCompare       `json:"lpCores"`
 	Incremental []incrementalResult `json:"incremental"`
 	Fleet       []fleetResult       `json:"fleet,omitempty"`
@@ -164,13 +143,13 @@ func runFleet(sites, maxNodes, reps int, exactDeadline time.Duration) fleetResul
 	return fr
 }
 
-// runCore solves the instance best-of-reps on one LP core, sequentially.
+// runCore solves the instance best-of-reps on one LP core.
 func runCore(sites, maxNodes, reps int, core lp.Core) coreResult {
 	k := milp.NewHardKnapsack(5*sites, 0)
 	best := coreResult{Core: core.String()}
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		s := k.SolveWithOptions(milp.Options{Workers: 1, MaxNodes: maxNodes, LPCore: core})
+		s := k.SolveWithOptions(milp.Options{MaxNodes: maxNodes, LPCore: core})
 		wall := time.Since(start)
 		if s.Status != milp.Optimal && s.Status != milp.Limit {
 			log.Fatalf("lpcore %v sites=%d: unexpected status %v", core, sites, s.Status)
@@ -247,43 +226,11 @@ func main() {
 	}
 
 	rep := report{
-		Bench:      "milp branch-and-bound worker pool, hard knapsack at 5·N binaries",
+		Bench:      "milp branch-and-bound at 5·N binaries: LP cores, incremental re-solves, fleet decomposition",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		MaxNodes:   maxNodes,
 		Reps:       reps,
 	}
-	for _, sites := range []int{5, 10, 20} {
-		k := milp.NewHardKnapsack(5*sites, 0)
-		inst := instanceResult{Sites: sites, Binaries: 5 * sites}
-		var base float64
-		for _, workers := range []int{1, 2, 4, 8} {
-			best := workerResult{Workers: workers}
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				s := k.SolveWithOptions(milp.Options{Workers: workers, MaxNodes: maxNodes})
-				wall := time.Since(start)
-				if s.Status != milp.Optimal && s.Status != milp.Limit {
-					log.Fatalf("sites=%d workers=%d: unexpected status %v", sites, workers, s.Status)
-				}
-				if best.WallMS == 0 || wall.Seconds()*1e3 < best.WallMS {
-					best.WallMS = wall.Seconds() * 1e3
-					best.Nodes = s.Nodes
-					best.NodesPerSec = float64(s.Nodes) / wall.Seconds()
-					best.Status = s.Status.String()
-					best.Objective = s.Objective
-				}
-			}
-			if workers == 1 {
-				base = best.WallMS
-			}
-			best.Speedup = base / best.WallMS
-			inst.Results = append(inst.Results, best)
-			fmt.Printf("sites=%-3d workers=%d  wall=%8.1fms  nodes=%d  %8.0f nodes/s  speedup=%.2f\n",
-				sites, workers, best.WallMS, best.Nodes, best.NodesPerSec, best.Speedup)
-		}
-		rep.Instances = append(rep.Instances, inst)
-	}
-
 	gateOK := true
 	for _, sites := range []int{5, 10, 20} {
 		cc := coreCompare{Sites: sites, Binaries: 5 * sites}

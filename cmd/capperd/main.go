@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -82,8 +81,6 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout for in-flight requests")
 	deadline := flag.Duration("decide-deadline", 5*time.Second,
 		"per-decision solver deadline; an expiring solve answers with its best incumbent (0 = unbounded)")
-	workers := flag.Int("solver-workers", 0,
-		"branch-and-bound workers per MILP solve, and the concurrency budget of /v1/decide/batch (0 = GOMAXPROCS)")
 	solverCache := flag.Bool("solver-cache", false,
 		"incremental hour-over-hour solving: MILP presolve plus a cross-hour warm-start cache (skeleton, basis, incumbent)")
 	lpcore := flag.String("lpcore", "",
@@ -123,7 +120,6 @@ func main() {
 	}
 	srv, err := api.New(dcs, pols, core.Options{
 		SolveDeadline: *deadline,
-		SolverWorkers: *workers,
 		SolverCache:   *solverCache,
 		LPCore:        core0,
 
@@ -188,7 +184,6 @@ func main() {
 	log.Printf("capperd: %d sites, %v, listening on %s", len(dcs), pricing.PolicyVariant(*variant), ln.Addr())
 	log.Printf("capperd: timeouts: readHeader=%v read=%v write=%v idle=%v decide=%v drain=%v",
 		hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout, *deadline, *drain)
-	log.Printf("capperd: solver workers: %d (0 = GOMAXPROCS = %d)", *workers, runtime.GOMAXPROCS(0))
 	if *driftRatio > 0 {
 		log.Printf("capperd: data plane: /v1/route live, drift re-solve at %.2f× predicted arrivals", *driftRatio)
 	} else {

@@ -390,7 +390,6 @@ type DecideResponse struct {
 	SolverPivots     int            `json:"solverPivots"`
 	SolverIncumbents int            `json:"solverIncumbents"`
 	SolverTimeouts   int            `json:"solverTimeouts,omitempty"`
-	SolverWorkers    int            `json:"solverWorkers,omitempty"`
 	SolverWallMS     float64        `json:"solverWallMS"`
 	// SolverPresolveFixed / SolverWarmStarted report the incremental-solving
 	// path (presolved binaries, warm-started solves); 0 unless the server
@@ -449,7 +448,6 @@ func (s *Server) decideResponseFrom(dec core.Decision) DecideResponse {
 		SolverPivots:     dec.Solver.LPIterations,
 		SolverIncumbents: dec.Solver.Incumbents,
 		SolverTimeouts:   dec.Solver.Timeouts,
-		SolverWorkers:    dec.Solver.Workers,
 		SolverWallMS:     float64(dec.Solver.WallTime.Microseconds()) / 1e3,
 
 		SolverPresolveFixed: dec.Solver.PresolveFixed,

@@ -16,7 +16,7 @@ import (
 const maxBatchHours = 168
 
 // BatchDecideRequest is the body of POST /v1/decide/batch: independent hours
-// solved concurrently through one solver-worker budget (see -solver-workers).
+// solved concurrently, up to GOMAXPROCS at once (see core.DecideBatch).
 // TimeoutMS bounds the whole batch, not each hour. Per-hour TimeoutMS and
 // Resilient are rejected — the batch path is the plain optimal-or-error
 // contract; clients needing the degradation ladder call /v1/decide per hour.

@@ -33,7 +33,7 @@ func TestDecideBatch(t *testing.T) {
 			t.Fatalf("hours[%d].decision = %+v", i, h.Decision)
 		}
 		// Identical inputs must produce identical answers regardless of which
-		// pool slot solved them.
+		// goroutine solved them.
 		if h.Decision.Served != out.Hours[0].Decision.Served {
 			t.Errorf("hours[%d] served %v != hours[0] %v", i, h.Decision.Served, out.Hours[0].Decision.Served)
 		}

@@ -6,23 +6,18 @@ import (
 	"sync"
 )
 
-// DecideBatch solves many independent hours concurrently through one worker
-// budget — the bulk path for re-optimizing a horizon (day-ahead sweeps,
-// what-if studies) without either serializing the hours or oversubscribing
-// the CPU with hours × workers goroutines.
-//
-// The budget is Options.SolverWorkers (0 → GOMAXPROCS). Hour-level
-// parallelism comes first, because independent solves scale embarrassingly:
-// up to budget hours run at once, and the per-solve branch-and-bound pool
-// shrinks to budget/concurrency workers so the total stays at the budget.
-// With a batch smaller than the budget, the leftover goes back into
-// per-solve workers.
+// DecideBatch solves many independent hours concurrently — the bulk path for
+// re-optimizing a horizon (day-ahead sweeps, what-if studies) without
+// serializing the hours. Up to GOMAXPROCS hours run at once, each solved on
+// its goroutine by DecideHourCtx. Solves are deterministic, so without the
+// solve cache decs[i] is exactly what a serial DecideHourCtx(ctx, ins[i])
+// returns, effort counters included.
 //
 // Results are index-aligned with ins: decs[i] answers ins[i], errs[i] is its
 // error (nil on success). The context bounds every solve; its deadline and
 // cancellation propagate into branch-and-bound exactly as in DecideHourCtx.
 //
-// The batch is split into contiguous chunks, one per concurrent worker, each
+// The batch is split into contiguous chunks, one per goroutine, each
 // processed in input order. For hour sequences this is the cache-friendly
 // order: with Options.SolverCache on, hour h's optimum seeds hour h+1 inside
 // the same chunk, so a re-optimized horizon warm-starts almost every solve
@@ -33,34 +28,17 @@ func (s *System) DecideBatch(ctx context.Context, ins []HourInput) ([]Decision, 
 	if len(ins) == 0 {
 		return decs, errs
 	}
-	budget := s.opts.SolverWorkers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	conc := budget
-	if conc > len(ins) {
-		conc = len(ins)
-	}
-	perSolve := budget / conc
+	conc := min(runtime.GOMAXPROCS(0), len(ins))
 	chunk := (len(ins) + conc - 1) / conc
 
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(ins); lo += chunk {
-		hi := lo + chunk
-		if hi > len(ins) {
-			hi = len(ins)
-		}
+		hi := min(lo+chunk, len(ins))
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				so, err := boundByCtx(ctx, s.solveOptions())
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				so.Workers = perSolve
-				decs[i], errs[i] = s.decideWith(ins[i], so)
+				decs[i], errs[i] = s.DecideHourCtx(ctx, ins[i])
 			}
 		}(lo, hi)
 	}

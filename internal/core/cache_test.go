@@ -110,11 +110,10 @@ func simWeek(seed int64, tightBudget, looseBudget float64) []HourInput {
 // the cold system's decisions — same branch every hour and the same step
 // objective to within the solver's optimality gap — while actually exercising
 // the incremental machinery (warm starts taken, binaries presolved away,
-// skeleton hits). Run under -race in CI alongside the parallel-solver
-// property tests.
+// skeleton hits). Run under -race in CI.
 func TestSolverCacheWeekMatchesCold(t *testing.T) {
-	cold := paperSystem(t, Options{DeterministicSolver: true})
-	warm := paperSystem(t, Options{DeterministicSolver: true, SolverCache: true})
+	cold := paperSystem(t, Options{})
+	warm := paperSystem(t, Options{SolverCache: true})
 
 	// Calibrate the tight budget at half of an average hour's uncapped cost,
 	// so step 2 binds often and its budget row gives presolve something to

@@ -28,10 +28,9 @@ func (o Options) decomposeThreshold() int {
 }
 
 // decompOptions maps the per-solve MILP options onto the decomposition
-// loop: deadline, cancellation, worker-pool bound and LP core carry over.
+// loop: deadline, cancellation and LP core carry over.
 func (s *System) decompOptions(so milp.Options) decomp.Options {
 	return decomp.Options{
-		Workers:  so.Workers,
 		Deadline: so.Deadline,
 		Cancel:   so.Cancel,
 		LPCore:   so.LPCore,

@@ -14,8 +14,8 @@ import (
 // exercising the sparse machinery (basis updates and refactorizations
 // reported, and none on the dense side). Run under -race in CI.
 func TestSparseWeekMatchesDenseOracle(t *testing.T) {
-	dense := paperSystem(t, Options{DeterministicSolver: true, LPCore: lp.CoreDense})
-	sparse := paperSystem(t, Options{DeterministicSolver: true, LPCore: lp.CoreSparse})
+	dense := paperSystem(t, Options{LPCore: lp.CoreDense})
+	sparse := paperSystem(t, Options{LPCore: lp.CoreSparse})
 
 	probe := HourInput{TotalLambda: 1.2e12, PremiumLambda: 6e11, DemandMW: demand3(), BudgetUSD: math.Inf(1)}
 	d, err := dense.DecideHour(probe)

@@ -29,7 +29,6 @@ type Metrics struct {
 	milpPivots     *obs.Counter
 	milpIncumbents *obs.Counter
 	milpSeconds    *obs.Histogram
-	milpWorkers    *obs.Gauge
 	presolveFixed  *obs.Counter
 	warmstartHits  *obs.Counter
 
@@ -87,8 +86,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Incumbent improvements found during branch-and-bound."),
 		milpSeconds: reg.Histogram("billcap_milp_seconds",
 			"Wall time spent inside MILP solves per decision, seconds.", obs.DefBuckets),
-		milpWorkers: reg.Gauge("billcap_milp_workers",
-			"Branch-and-bound workers used by the last decision's MILP solves."),
 		presolveFixed: reg.Counter("billcap_solver_presolve_fixed_total",
 			"Integer variables fixed by MILP presolve before branch-and-bound started."),
 		warmstartHits: reg.Counter("billcap_solver_warmstart_hits_total",
@@ -167,7 +164,6 @@ func (m *Metrics) observe(s *System, dec Decision, err error, elapsed time.Durat
 	m.lpBasisUpdates.Add(float64(dec.Solver.LPBasisUpdates))
 	m.milpIncumbents.Add(float64(dec.Solver.Incumbents))
 	m.milpSeconds.Observe(dec.Solver.WallTime.Seconds())
-	m.milpWorkers.Set(float64(dec.Solver.Workers))
 	m.presolveFixed.Add(float64(dec.Solver.PresolveFixed))
 	m.warmstartHits.Add(float64(dec.Solver.WarmStarted))
 	m.decompSolves.Add(float64(dec.Solver.DecompSolves))

@@ -33,9 +33,6 @@ type SolverStats struct {
 	Timeouts int
 	// WallTime is the wall-clock time spent inside MILP solves.
 	WallTime time.Duration
-	// Workers is the largest branch-and-bound worker-pool size any solve in
-	// the decision ran with (1 = sequential).
-	Workers int
 	// PresolveFixed counts integer variables fixed by presolve before the
 	// searches started (0 unless the solve cache is enabled).
 	PresolveFixed int
@@ -75,9 +72,6 @@ func (st *SolverStats) add(sol milp.Solution) {
 	if sol.WarmStarted {
 		st.WarmStarted++
 	}
-	if sol.Workers > st.Workers {
-		st.Workers = sol.Workers
-	}
 	if sol.Status == milp.TimeLimit {
 		st.Timeouts++
 	}
@@ -116,9 +110,6 @@ func (st *SolverStats) Accumulate(o SolverStats) {
 	}
 	if o.DecompSolves > 0 {
 		st.DecompDualBound = o.DecompDualBound
-	}
-	if o.Workers > st.Workers {
-		st.Workers = o.Workers
 	}
 }
 
@@ -411,7 +402,11 @@ func (s *System) decisionFrom(sol milp.Solution, vars []siteVars, scale float64,
 		}
 		alloc := SiteAlloc{Lambda: lam, On: on}
 		if on {
-			alloc.GridMW = sol.X[v.enc.Power]
+			// Every power variable is nonnegative in the model, but the LP
+			// may return one at a tolerance-level negative (−1e-18 to
+			// −1e-10 when a discharge covers the whole IT draw). Clamp them
+			// all, so no claim reads as a negative draw or charge.
+			alloc.GridMW = math.Max(0, sol.X[v.enc.Power])
 			if v.chg >= 0 {
 				alloc.ChargeMW = math.Max(0, sol.X[v.chg])
 				alloc.DischargeMW = math.Max(0, sol.X[v.dis])
@@ -422,7 +417,7 @@ func (s *System) decisionFrom(sol milp.Solution, vars []siteVars, scale float64,
 				alloc.EnergyUSD = alloc.PriceUSDPerMWh * alloc.GridMW
 			} else {
 				for j, pv := range v.enc.SegPower {
-					alloc.EnergyUSD += v.enc.SegRate[j] * sol.X[pv]
+					alloc.EnergyUSD += v.enc.SegRate[j] * math.Max(0, sol.X[pv])
 				}
 				for j, zv := range v.enc.SegBin {
 					if sol.X[zv] > 0.5 {

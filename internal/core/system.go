@@ -83,12 +83,6 @@ type Options struct {
 	// MaxSolveNodes caps branch-and-bound nodes per solve; 0 → the solver
 	// default.
 	MaxSolveNodes int
-	// SolverWorkers is the branch-and-bound worker-pool size per MILP solve
-	// (milp.Options.Workers): 0 → GOMAXPROCS, 1 → the sequential solver.
-	SolverWorkers int
-	// DeterministicSolver pins the sequential node ordering regardless of
-	// SolverWorkers, for reproducible replays and tests.
-	DeterministicSolver bool
 	// LPCore selects the simplex implementation behind every LP relaxation
 	// (lp.CoreSparse, the default, or lp.CoreDense — the dense tableau
 	// retained as the correctness oracle).
@@ -120,11 +114,9 @@ type Options struct {
 // solveOptions derives the per-solve MILP options from the system options.
 func (s *System) solveOptions() milp.Options {
 	return milp.Options{
-		Deadline:      s.opts.SolveDeadline,
-		MaxNodes:      s.opts.MaxSolveNodes,
-		Workers:       s.opts.SolverWorkers,
-		Deterministic: s.opts.DeterministicSolver,
-		LPCore:        s.opts.LPCore,
+		Deadline: s.opts.SolveDeadline,
+		MaxNodes: s.opts.MaxSolveNodes,
+		LPCore:   s.opts.LPCore,
 	}
 }
 

@@ -20,8 +20,6 @@ package decomp
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"billcap/internal/lp"
@@ -210,8 +208,6 @@ type Options struct {
 	// GapTol is the relative primal–dual gap at which the loop declares
 	// convergence; 0 → 1e-3.
 	GapTol float64
-	// Workers bounds the subproblem worker pool; 0 → GOMAXPROCS.
-	Workers int
 	// Deadline bounds wall-clock time; 0 → unbounded. An expiring solve
 	// answers with its best primal and bound so far.
 	Deadline time.Duration
@@ -236,14 +232,6 @@ func (o Options) gapTol() float64 {
 		return 1e-3
 	}
 	return o.GapTol
-}
-
-func (o Options) workers() int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 func (o Options) theta() float64 {
@@ -345,62 +333,6 @@ func bestChoice(s *Site, wL, wC float64) choice {
 	return best
 }
 
-// pool is the bounded worker pool evaluating site subproblems. Workers are
-// started once per Solve and fed one contiguous chunk of sites per round.
-type pool struct {
-	workers int
-	jobs    chan func()
-	wg      sync.WaitGroup
-}
-
-func newPool(workers int) *pool {
-	p := &pool{workers: workers}
-	if workers > 1 {
-		p.jobs = make(chan func(), workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for f := range p.jobs {
-					f()
-					p.wg.Done()
-				}
-			}()
-		}
-	}
-	return p
-}
-
-func (p *pool) close() {
-	if p.jobs != nil {
-		close(p.jobs)
-	}
-}
-
-// solveSites evaluates every site's subproblem under the weights into out.
-// Small fleets run inline: the pool pays off only when the per-round work
-// dwarfs the handoff.
-func (p *pool) solveSites(sites []Site, wL, wC float64, out []choice) {
-	if p.jobs == nil || len(sites) < 4*p.workers || len(sites) < 64 {
-		for i := range sites {
-			out[i] = bestChoice(&sites[i], wL, wC)
-		}
-		return
-	}
-	chunk := (len(sites) + p.workers - 1) / p.workers
-	for lo := 0; lo < len(sites); lo += chunk {
-		lo, hi := lo, lo+chunk
-		if hi > len(sites) {
-			hi = len(sites)
-		}
-		p.wg.Add(1)
-		p.jobs <- func() {
-			for i := lo; i < hi; i++ {
-				out[i] = bestChoice(&sites[i], wL, wC)
-			}
-		}
-	}
-	p.wg.Wait()
-}
-
 // Solve runs the dual-decomposition loop on the instance: dualize the
 // coupling rows, iterate per-site subproblems and a projected subgradient
 // step on the multipliers (Polyak sizing against the best feasible primal),
@@ -462,8 +394,6 @@ func Solve(inst Instance, opt Options) (Result, error) {
 	stall := 0
 	const stallLimit = 6
 
-	pw := newPool(opt.workers())
-	defer pw.close()
 	choices := make([]choice, n)
 
 	for it := 1; it <= opt.maxIters(); it++ {
@@ -477,7 +407,9 @@ func Solve(inst Instance, opt Options) (Result, error) {
 		} else {
 			wL, wC = mu, 1
 		}
-		pw.solveSites(inst.Sites, wL, wC, choices)
+		for i := range inst.Sites {
+			choices[i] = bestChoice(&inst.Sites[i], wL, wC)
+		}
 		var sumL, sumC, sumV float64
 		for i := range choices {
 			c := choices[i]

@@ -219,25 +219,6 @@ func TestCancelStopsPrimalRecovery(t *testing.T) {
 	}
 }
 
-func TestWorkerPoolMatchesSequential(t *testing.T) {
-	// The pool only changes who evaluates the subproblems, never the math:
-	// identical instances must give identical iterates and results.
-	fi := milp.NewPaperFleet(80, 9)
-	seq, err := Solve(FromFleet(fi), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Solve(FromFleet(fi), Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Objective != par.Objective || seq.DualBound != par.DualBound || seq.Iterations != par.Iterations {
-		t.Errorf("sequential (obj=%v dual=%v it=%d) != parallel (obj=%v dual=%v it=%d)",
-			seq.Objective, seq.DualBound, seq.Iterations,
-			par.Objective, par.DualBound, par.Iterations)
-	}
-}
-
 func TestFleetScaleCompletes(t *testing.T) {
 	// The N=500 hour decision — 2500 binaries in MILP terms — must come back
 	// in interactive time with a sub-1% proven gap.

@@ -48,8 +48,7 @@ func checkFleetFeasible(t *testing.T, fi milp.FleetInstance, res Result) {
 // TestFleetDualBoundAndPrimalVsExact is the equivalence oracle: on seeded
 // NewPaperFleet and NewPaperHour instances with N ≤ 20, the decomposition's
 // dual bound must never cut off the exact MILP optimum, and its recovered
-// primal must be feasible and within 1% of that optimum. Run under -race in
-// CI, which also exercises the subproblem worker pool.
+// primal must be feasible and within 1% of that optimum.
 func TestFleetDualBoundAndPrimalVsExact(t *testing.T) {
 	type tc struct {
 		name string
@@ -72,11 +71,11 @@ func TestFleetDualBoundAndPrimalVsExact(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := len(c.fi.Sites)
-		exact := c.fi.Build().SolveWithOptions(milp.Options{Workers: 1})
+		exact := c.fi.Build().SolveWithOptions(milp.Options{})
 		if exact.Status != milp.Optimal {
 			t.Fatalf("%s n=%d: exact MILP ended %v", c.name, n, exact.Status)
 		}
-		res, err := Solve(FromFleet(c.fi), Options{Workers: 4})
+		res, err := Solve(FromFleet(c.fi), Options{})
 		if err != nil {
 			t.Fatalf("%s n=%d: %v", c.name, n, err)
 		}

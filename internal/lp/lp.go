@@ -21,16 +21,14 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Core selects the simplex implementation.
 type Core int
 
-// Core values. The zero value defers to the package default (see
-// SetDefaultCore), which is the sparse revised simplex.
+// Core values. The zero value selects the sparse revised simplex.
 const (
-	CoreDefault Core = iota // package default (sparse unless overridden)
+	CoreDefault Core = iota // the zero value: the sparse core
 	CoreSparse              // sparse revised simplex, LU basis, Devex pricing
 	CoreDense               // dense two-phase tableau (the correctness oracle)
 )
@@ -61,28 +59,13 @@ func ParseCore(s string) (Core, error) {
 	return CoreDefault, fmt.Errorf("lp: unknown core %q (want dense or sparse)", s)
 }
 
-// defaultCore holds the process-wide core used when Options.Core is
-// CoreDefault. Atomic so benchmarks and servers can flip it concurrently.
-var defaultCore atomic.Int32
-
-// SetDefaultCore overrides the package-wide default core (CoreDefault resets
-// to the built-in sparse default).
-func SetDefaultCore(c Core) { defaultCore.Store(int32(c)) }
-
-// DefaultCore reports the core a zero-value Options would use.
-func DefaultCore() Core {
-	if c := Core(defaultCore.Load()); c == CoreSparse || c == CoreDense {
-		return c
+// core resolves the options' core selection: the dense oracle only when
+// asked for, the sparse core otherwise.
+func (o Options) core() Core {
+	if o.Core == CoreDense {
+		return CoreDense
 	}
 	return CoreSparse
-}
-
-// core resolves the options' core selection.
-func (o Options) core() Core {
-	if o.Core == CoreSparse || o.Core == CoreDense {
-		return o.Core
-	}
-	return DefaultCore()
 }
 
 // Rel is the relation of a constraint row to its right-hand side.

@@ -13,11 +13,10 @@ import (
 // BTRAN apply the eta file around the triangular solves; refactorization
 // collapses the file back into a fresh LU (see refactorEvery).
 //
-// The LU arrays are immutable after factorize, so concurrent solvers — the
-// per-worker warm-start clones of the parallel branch and bound — can share
-// one factor as long as each clone takes the eta slice with a clamped
-// capacity (clone) so its appends reallocate instead of aliasing. All dense
-// scratch lives in the calling solver, never in the factor.
+// The LU arrays are immutable after factorize, so every warm re-solve from a
+// frozen root can share one factor as long as it takes the eta slice with a
+// clamped capacity (clone) so its appends reallocate instead of aliasing. All
+// dense scratch lives in the calling solver, never in the factor.
 type luFactor struct {
 	m int
 
@@ -50,7 +49,7 @@ type eta struct {
 }
 
 // clone shares the immutable LU arrays but clamps the eta slice's capacity so
-// the clone's appends always reallocate. Cheap enough to run per B&B worker.
+// the clone's appends always reallocate. Cheap enough to run per B&B node.
 func (f *luFactor) clone() *luFactor {
 	g := *f
 	g.etas = f.etas[:len(f.etas):len(f.etas)]

@@ -24,8 +24,8 @@ const (
 // revSolver is the state of one sparse revised-simplex solve: the basis and
 // its LU factor, primal values of the basic columns, reduced costs, and the
 // Devex reference weights. After an optimal solve the state is frozen inside
-// a WarmStart; ReSolve and per-worker B&B clones copy it (cloneForReSolve)
-// and mutate only the copy.
+// a WarmStart; each ReSolve copies it (cloneForReSolve) and mutates only the
+// copy.
 type revSolver struct {
 	pr     *revProblem
 	f      *luFactor
@@ -752,8 +752,7 @@ func (s *revSolver) extractX(p *Problem, st Status) Solution {
 // cloneForReSolve copies everything a re-solve mutates: statuses, values,
 // reduced costs, bounds, and the factor's eta slice (capacity-clamped so
 // appends reallocate). The LU arrays, matrix, and cost vector stay shared
-// read-only, which is what makes per-node B&B re-solves and per-worker
-// clones cheap.
+// read-only, which is what makes per-node B&B re-solves cheap.
 func (s *revSolver) cloneForReSolve() *revSolver {
 	pr := *s.pr
 	pr.lo = append([]float64(nil), s.pr.lo...)

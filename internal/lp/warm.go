@@ -95,36 +95,6 @@ func (w *WarmStart) Basis() []int {
 	return append([]int(nil), w.base.basis...)
 }
 
-// Clone returns an independent copy of the warm-start state: everything a
-// re-solve mutates is deep-copied so that concurrent branch-and-bound workers
-// can each re-solve from a private root basis without sharing any mutable
-// state. The underlying Problem is shared — it is read-only for the lifetime
-// of a solve — and on the sparse core so are the immutable LU arrays and the
-// constraint matrix.
-func (w *WarmStart) Clone() *WarmStart {
-	if w.core == CoreSparse {
-		c := *w
-		c.rev = w.rev.cloneForReSolve()
-		return &c
-	}
-	t := &tableau{
-		m:     w.base.m,
-		n:     w.base.n,
-		a:     make([][]float64, w.base.m),
-		basis: append([]int(nil), w.base.basis...),
-	}
-	for i, row := range w.base.a {
-		t.a[i] = append([]float64(nil), row...)
-	}
-	return &WarmStart{
-		problem:  w.problem,
-		base:     t,
-		artStart: w.artStart,
-		costs:    append([]float64(nil), w.costs...),
-		root:     w.root,
-	}
-}
-
 // ReSolve solves the base problem plus the extra rows, warm-starting the
 // dual simplex from the base optimum. It falls back to a cold two-phase
 // solve if the dual iteration struggles (pivot cap), so the answer is

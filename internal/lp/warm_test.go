@@ -78,58 +78,6 @@ func TestWarmStartWithEqualityBase(t *testing.T) {
 	}
 }
 
-// TestWarmStartClone verifies that a clone answers identically to its
-// original and that heavy use of either leaves the other's state intact —
-// the property the parallel branch-and-bound workers rely on. Both cores are
-// exercised; the deep-copy probe pokes whichever state the core records.
-func TestWarmStartClone(t *testing.T) {
-	for _, core := range []Core{CoreSparse, CoreDense} {
-		t.Run(core.String(), func(t *testing.T) {
-			p := NewProblem()
-			p.SetMaximize(true)
-			x := p.AddVar("x", 3)
-			y := p.AddVar("y", 5)
-			p.AddConstraint([]Term{{Var: x, Coef: 1}}, LE, 4)
-			p.AddConstraint([]Term{{Var: y, Coef: 2}}, LE, 12)
-			p.AddConstraint([]Term{{Var: x, Coef: 3}, {Var: y, Coef: 2}}, LE, 18)
-			w, root := p.SolveForWarmStart(Options{Core: core})
-			if root.Status != Optimal {
-				t.Fatalf("root: %v", root.Status)
-			}
-			c := w.Clone()
-			if c.Root().Objective != w.Root().Objective {
-				t.Fatalf("clone root %v != original %v", c.Root().Objective, w.Root().Objective)
-			}
-			rows := []ExtraRow{{Terms: []Term{{Var: x, Coef: 1}}, Rel: LE, RHS: 1}}
-			for i := 0; i < 50; i++ { // hammer the clone; the original must not notice
-				if s := c.ReSolve(rows); s.Status != Optimal || !near(s.Objective, 33, 1e-8) {
-					t.Fatalf("clone resolve %d: %v obj=%v", i, s.Status, s.Objective)
-				}
-			}
-			if s := w.ReSolve(rows); s.Status != Optimal || !near(s.Objective, 33, 1e-8) {
-				t.Fatalf("original after clone use: %v obj=%v", s.Status, s.Objective)
-			}
-			// The copies must be deep: mutating the clone's state may not leak.
-			switch w.core {
-			case CoreDense:
-				c.base.a[0][0] += 1e3
-				if w.base.a[0][0] == c.base.a[0][0] {
-					t.Fatal("clone shares tableau storage with original")
-				}
-			case CoreSparse:
-				c.rev.pr.hi[x] = 0.5
-				c.rev.xB[0] += 1e3
-				if w.rev.pr.hi[x] == 0.5 || w.rev.xB[0] == c.rev.xB[0] {
-					t.Fatal("clone shares solver state with original")
-				}
-				if s := w.ReSolve(rows); s.Status != Optimal || !near(s.Objective, 33, 1e-8) {
-					t.Fatalf("original after clone mutation: %v obj=%v", s.Status, s.Objective)
-				}
-			}
-		})
-	}
-}
-
 // TestWarmMatchesColdProperty re-solves random feasible LPs with random
 // extra bound rows both warm and cold; statuses and objectives must agree.
 func TestWarmMatchesColdProperty(t *testing.T) {

@@ -20,29 +20,27 @@ func BenchmarkBranchAndBound(b *testing.B) {
 	}
 }
 
-// BenchmarkPaperScaleBnB sweeps the paper's site counts against the worker
-// pool. Each sub-benchmark explores a fixed node budget on the deterministic
-// hard knapsack at 5·N binaries (the hourly MILP's binary count for N sites),
-// so wall time per iteration is directly comparable across worker counts.
-// cmd/benchmilp runs the same workload standalone and writes BENCH_milp.json.
+// BenchmarkPaperScaleBnB sweeps the paper's site counts. The knapsack
+// sub-benchmark explores a fixed node budget on the deterministic hard
+// knapsack at 5·N binaries (the hourly MILP's binary count for N sites), so
+// its nodes/s is a pure search-throughput figure; cmd/benchmilp's lpCores
+// section runs the same workload per LP core and writes BENCH_milp.json.
 func BenchmarkPaperScaleBnB(b *testing.B) {
 	const maxNodes = 1000
 	for _, sites := range []int{5, 10, 20} {
 		k := NewHardKnapsack(5*sites, 0)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("sites=%d/workers=%d", sites, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var nodes int
-				for i := 0; i < b.N; i++ {
-					s := k.SolveWithOptions(Options{Workers: workers, MaxNodes: maxNodes})
-					if s.Status != Optimal && s.Status != Limit {
-						b.Fatal(s.Status)
-					}
-					nodes += s.Nodes
+		b.Run(fmt.Sprintf("sites=%d/knapsack", sites), func(b *testing.B) {
+			b.ReportAllocs()
+			var nodes int
+			for i := 0; i < b.N; i++ {
+				s := k.SolveWithOptions(Options{MaxNodes: maxNodes})
+				if s.Status != Optimal && s.Status != Limit {
+					b.Fatal(s.Status)
 				}
-				b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
-			})
-		}
+				nodes += s.Nodes
+			}
+			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+		})
 		// Cold vs warm hour-over-hour re-solve on the paper-hour family
 		// (NewPaperHour closes to proven optimality, unlike the knapsack):
 		// hour 1's optimum and root basis seed hour 2's solve, plus presolve

@@ -11,7 +11,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"billcap/internal/lp"
@@ -124,7 +123,6 @@ type Solution struct {
 	Incumbents         int           // times the incumbent improved during the search
 	Elapsed            time.Duration // wall time of the solve
 	Gap                float64       // |bound − incumbent| remaining at stop (0 when Optimal)
-	Workers            int           // branch-and-bound workers that ran the search
 	// PresolveFixed counts integer variables fixed by Options.Presolve before
 	// the search started (0 when presolve was off or fixed nothing).
 	PresolveFixed int
@@ -161,17 +159,6 @@ type Options struct {
 	// closed (e.g. an http request context's Done channel). Cancellation is
 	// reported as TimeLimit, with the same incumbent guarantees as Deadline.
 	Cancel <-chan struct{}
-	// Workers is the branch-and-bound worker-pool size: 0 → GOMAXPROCS,
-	// 1 → the sequential best-first search. Each worker owns a private clone
-	// of the root's warm-started dual-simplex state and pulls nodes from a
-	// shared best-first frontier; the incumbent and global bound are shared
-	// so every worker prunes against the best solution found anywhere.
-	Workers int
-	// Deterministic forces the exact sequential node ordering regardless of
-	// Workers, so tests and replays reproduce a solve bit-for-bit. The
-	// parallel search stays exact (same optimum, same feasibility) but its
-	// node ordering — and therefore Nodes/Pivots — depends on scheduling.
-	Deterministic bool
 	// MaxLPPivots caps simplex pivots of the root relaxation solve; 0 → the
 	// LP solver's default. A root that exhausts the cap stops the search with
 	// Status Limit, no incumbent and Gap +Inf.
@@ -196,28 +183,12 @@ type Options struct {
 	StartBasis []int
 	// LPCore selects the LP core for the root relaxation — and, through the
 	// warm start it records, for every node re-solve of the search. The zero
-	// value follows the lp package default (the sparse revised simplex);
-	// lp.CoreDense pins the dense tableau oracle for A/B comparison.
+	// value selects the sparse revised simplex; lp.CoreDense pins the dense
+	// tableau oracle for A/B comparison.
 	LPCore lp.Core
 }
 
-// effectiveWorkers resolves the worker count: Deterministic pins the
-// sequential search, 0 means one worker per CPU.
-func (o Options) effectiveWorkers() int {
-	if o.Deterministic {
-		return 1
-	}
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// withDefaults fills the zero-value knobs shared by both search modes.
+// withDefaults fills the zero-value knobs.
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
@@ -275,11 +246,13 @@ func (h *nodeHeap) Pop() interface{} {
 // Solve runs best-first branch and bound.
 func (p *Problem) Solve() Solution { return p.SolveWithOptions(Options{}) }
 
-// SolveWithOptions is Solve with explicit options: the sequential best-first
-// search for Workers ≤ 1 (or Deterministic), the shared-frontier worker pool
-// otherwise. Both searches start from the same shared root stage: one base LP
-// solve (optionally crashed from StartBasis), optional presolve fixings
-// applied as permanent root bounds, and an optional StartX incumbent.
+// SolveWithOptions is Solve with explicit options. The search runs on the
+// calling goroutine, so a solve is deterministic: the same problem and
+// options explore the same tree and return the same Solution, node and pivot
+// counts included. It starts from a root stage — one base LP solve
+// (optionally crashed from StartBasis), optional presolve fixings applied as
+// permanent root bounds, and an optional StartX incumbent — then runs the
+// best-first search.
 func (p *Problem) SolveWithOptions(opt Options) Solution {
 	start := time.Now()
 	opt = opt.withDefaults()
@@ -288,8 +261,8 @@ func (p *Problem) SolveWithOptions(opt Options) Solution {
 	return sol
 }
 
-// rootState is everything the sequential and parallel searches inherit from
-// the shared root stage.
+// rootState is everything the best-first search inherits from the root
+// stage.
 type rootState struct {
 	warm      *lp.WarmStart
 	root      lp.Solution // relaxation at the root, fixings applied
@@ -342,7 +315,7 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 	if opt.Presolve {
 		pr := p.Presolve()
 		if pr.Infeasible {
-			return Solution{Status: Infeasible, Nodes: 1, PresolveFixed: pr.Fixed, Workers: 1}
+			return Solution{Status: Infeasible, Nodes: 1, PresolveFixed: pr.Fixed}
 		}
 		rs.fix = pr.fixings()
 		rs.fixed = pr.Fixed
@@ -356,16 +329,15 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 	rs.eff.absorb(root)
 	switch root.Status {
 	case lp.Unbounded:
-		return rs.eff.stamp(Solution{Status: Unbounded, Nodes: rs.nodes, PresolveFixed: rs.fixed, Workers: 1})
+		return rs.eff.stamp(Solution{Status: Unbounded, Nodes: rs.nodes, PresolveFixed: rs.fixed})
 	case lp.Infeasible:
-		return rs.eff.stamp(Solution{Status: Infeasible, Nodes: rs.nodes, PresolveFixed: rs.fixed, Workers: 1})
+		return rs.eff.stamp(Solution{Status: Infeasible, Nodes: rs.nodes, PresolveFixed: rs.fixed})
 	case lp.IterLimit:
 		// Through finish, so Gap reads +Inf: there is no incumbent, and the
 		// zero-value Gap of a bare Solution would tell callers "proven
 		// optimal" when nothing was proven at all.
 		s := p.finish(Limit, nil, math.Inf(1), sign, rs.nodes, rs.eff, nil)
 		s.PresolveFixed = rs.fixed
-		s.Workers = 1
 		return s
 	}
 	rs.warm, rs.root = warm, root
@@ -382,7 +354,7 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 			// The fixings hold at every integer-feasible point, so an
 			// LP-infeasible fixed system means the MILP is infeasible.
 			return rs.eff.stamp(Solution{Status: Infeasible, Nodes: rs.nodes,
-				PresolveFixed: rs.fixed, RootBasis: rs.rootBasis, Workers: 1})
+				PresolveFixed: rs.fixed, RootBasis: rs.rootBasis})
 		default:
 			// Numerical trouble under the fixing rows: search from the plain
 			// root instead — correctness over speed.
@@ -396,14 +368,7 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 		}
 	}
 
-	var sol Solution
-	if w := opt.effectiveWorkers(); w > 1 && p.NumIntegerVars() > 0 {
-		sol = p.solveParallel(opt, start, w, rs)
-		sol.Workers = w
-	} else {
-		sol = p.solveSequential(opt, start, rs)
-		sol.Workers = 1
-	}
+	sol := p.search(opt, start, rs)
 	sol.PresolveFixed = rs.fixed
 	sol.WarmStarted = rs.seed != nil
 	sol.RootBasis = rs.rootBasis
@@ -433,7 +398,8 @@ func (p *Problem) acceptStart(x0 []float64, tol float64) ([]float64, float64, bo
 	return x, p.Problem.Eval(x), true
 }
 
-func (p *Problem) solveSequential(opt Options, start time.Time, rs rootState) Solution {
+// search is the best-first branch and bound from the root stage's relaxation.
+func (p *Problem) search(opt Options, start time.Time, rs rootState) Solution {
 	var deadline time.Time
 	if opt.Deadline > 0 {
 		deadline = start.Add(opt.Deadline)

@@ -3,6 +3,8 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -208,6 +210,35 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeterministicReproducesSequential pins that a solve is a pure function
+// of its problem and options: the same hard knapsack solved on several
+// goroutines at once reproduces a lone solve bit-for-bit — same node and
+// pivot counts, same incumbent — so replays need no knob to pin the search.
+// Run under -race in CI, it also probes for state shared between solves.
+func TestDeterministicReproducesSequential(t *testing.T) {
+	want := NewHardKnapsack(18, 3).Solve()
+	if want.Status != Optimal {
+		t.Fatalf("status %v", want.Status)
+	}
+	got := make([]Solution, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = NewHardKnapsack(18, 3).Solve()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g.Status != want.Status || g.Nodes != want.Nodes || g.Pivots != want.Pivots ||
+			g.Objective != want.Objective || !reflect.DeepEqual(g.X, want.X) {
+			t.Fatalf("run %d diverged: status %v/%v nodes %d/%d pivots %d/%d objective %v/%v",
+				i, g.Status, want.Status, g.Nodes, want.Nodes, g.Pivots, want.Pivots, g.Objective, want.Objective)
+		}
 	}
 }
 

@@ -142,8 +142,7 @@ func TestStartXRejectsBadSeeds(t *testing.T) {
 // TestWarmPresolveMatchesColdProperty is the solver-level equivalence
 // property behind the cross-hour cache: presolve plus a previous optimum fed
 // back as StartX/StartBasis must return the same objective as a cold solve,
-// across randomized instances and a perturbed "next hour" of each. Run under
-// -race in CI alongside TestParallelMatchesSequentialProperty.
+// across randomized instances and a perturbed "next hour" of each.
 func TestWarmPresolveMatchesColdProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	f := func(seed int64) bool {

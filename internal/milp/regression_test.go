@@ -23,18 +23,15 @@ func TestRootIterLimitReportsInfiniteGap(t *testing.T) {
 	p.AddConstraint([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 1)
 	p.AddConstraint([]lp.Term{{Var: y, Coef: 1}}, lp.LE, 1)
 
-	for _, workers := range []int{1, 4} {
-		sol := p.SolveWithOptions(Options{MaxLPPivots: 1, Workers: workers})
-		if sol.Status != Limit {
-			t.Fatalf("workers=%d: status = %v, want node-limit from root pivot cap", workers, sol.Status)
-		}
-		if sol.X != nil {
-			t.Errorf("workers=%d: X = %v, want no incumbent", workers, sol.X)
-		}
-		if !math.IsInf(sol.Gap, 1) {
-			t.Errorf("workers=%d: gap = %v with no incumbent, want +Inf — a zero gap reads as proven optimal",
-				workers, sol.Gap)
-		}
+	sol := p.SolveWithOptions(Options{MaxLPPivots: 1})
+	if sol.Status != Limit {
+		t.Fatalf("status = %v, want node-limit from root pivot cap", sol.Status)
+	}
+	if sol.X != nil {
+		t.Errorf("X = %v, want no incumbent", sol.X)
+	}
+	if !math.IsInf(sol.Gap, 1) {
+		t.Errorf("gap = %v with no incumbent, want +Inf — a zero gap reads as proven optimal", sol.Gap)
 	}
 }
 
@@ -100,36 +97,29 @@ func TestDeadlineStillManufacturesIncumbent(t *testing.T) {
 // capacity-limited so the relaxation parks its binary at x/M — far inside the
 // integrality tolerance but not at zero.
 func TestBigMIncumbentRepair(t *testing.T) {
-	build := func() (*Problem, int, int, int) {
-		p := NewProblem()
-		x1 := p.AddVar("x1", 1)
-		x2 := p.AddVar("x2", 0.5)
-		y2 := p.AddBinVar("y2", 5)
-		p.AddConstraint([]lp.Term{{Var: x1, Coef: 1}}, lp.LE, 1000)
-		p.AddConstraint([]lp.Term{{Var: x2, Coef: 1}}, lp.LE, 0.01)
-		p.AddConstraint([]lp.Term{{Var: x2, Coef: 1}, {Var: y2, Coef: -1000}}, lp.LE, 0)
-		p.AddConstraint([]lp.Term{{Var: x1, Coef: 1}, {Var: x2, Coef: 1}}, lp.EQ, 1000)
-		return p, x1, x2, y2
-	}
+	p := NewProblem()
+	x1 := p.AddVar("x1", 1)
+	x2 := p.AddVar("x2", 0.5)
+	y2 := p.AddBinVar("y2", 5)
+	p.AddConstraint([]lp.Term{{Var: x1, Coef: 1}}, lp.LE, 1000)
+	p.AddConstraint([]lp.Term{{Var: x2, Coef: 1}}, lp.LE, 0.01)
+	p.AddConstraint([]lp.Term{{Var: x2, Coef: 1}, {Var: y2, Coef: -1000}}, lp.LE, 0)
+	p.AddConstraint([]lp.Term{{Var: x1, Coef: 1}, {Var: x2, Coef: 1}}, lp.EQ, 1000)
 	// Relaxation: x2 = 0.01, y2 = 1e-5 (integral within the default 1e-4),
 	// objective ≈ 999.995. Snapping y2 to 0 strands x2 = 0.01 against the
 	// big-M row; the only feasible completions are (1000, 0, 0) at 1000 and
 	// (999.99, 0.01, 1) at 1004.995, so the answer must be exactly 1000.
-	for _, workers := range []int{1, 4} {
-		p, x1, x2, y2 := build()
-		sol := p.SolveWithOptions(Options{Workers: workers, Deterministic: workers == 1})
-		if sol.Status != Optimal {
-			t.Fatalf("workers=%d: status = %v", workers, sol.Status)
-		}
-		if viol := p.CheckFeasible(sol.X, 1e-6); len(viol) != 0 {
-			t.Fatalf("workers=%d: incumbent infeasible: %v (x=%v)", workers, viol, sol.X)
-		}
-		if math.Abs(sol.Objective-1000) > 1e-6 {
-			t.Fatalf("workers=%d: objective = %v, want 1000", workers, sol.Objective)
-		}
-		if sol.X[y2] != 0 || sol.X[x2] != 0 || math.Abs(sol.X[x1]-1000) > 1e-9 {
-			t.Fatalf("workers=%d: x = (%v, %v, %v), want (1000, 0, 0)",
-				workers, sol.X[x1], sol.X[x2], sol.X[y2])
-		}
+	sol := p.Solve()
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v", sol.Status)
+	}
+	if viol := p.CheckFeasible(sol.X, 1e-6); len(viol) != 0 {
+		t.Fatalf("incumbent infeasible: %v (x=%v)", viol, sol.X)
+	}
+	if math.Abs(sol.Objective-1000) > 1e-6 {
+		t.Fatalf("objective = %v, want 1000", sol.Objective)
+	}
+	if sol.X[y2] != 0 || sol.X[x2] != 0 || math.Abs(sol.X[x1]-1000) > 1e-9 {
+		t.Fatalf("x = (%v, %v, %v), want (1000, 0, 0)", sol.X[x1], sol.X[x2], sol.X[y2])
 	}
 }

@@ -67,7 +67,6 @@ type SolverTrace struct {
 	Pivots     int     `json:"pivots"`
 	Incumbents int     `json:"incumbents"`
 	Timeouts   int     `json:"timeouts,omitempty"`
-	Workers    int     `json:"workers,omitempty"`
 	WallMS     float64 `json:"wallMS"`
 	// PresolveFixed counts integer variables fixed before branch-and-bound;
 	// WarmStarted counts solves seeded with the previous hour's optimum.

@@ -600,7 +600,6 @@ func decisionTrace(cfg Config, h int, in core.HourInput, dec core.Decision, real
 			Pivots:     dec.Solver.LPIterations,
 			Incumbents: dec.Solver.Incumbents,
 			Timeouts:   dec.Solver.Timeouts,
-			Workers:    dec.Solver.Workers,
 			WallMS:     float64(dec.Solver.WallTime.Microseconds()) / 1e3,
 
 			PresolveFixed: dec.Solver.PresolveFixed,

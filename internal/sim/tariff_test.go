@@ -169,6 +169,43 @@ func TestTariffAwareBeatsBlind(t *testing.T) {
 	}
 }
 
+// TestBatteryMonthNoAuditRejects drives the resilient ladder over the paper
+// month with batteries and a demand charge under the tight budget, so many
+// hours are budget-capped. When a battery's discharge covers a site's whole
+// IT draw, the MILP leaves the site's grid and segment-power variables at
+// tolerance-level negatives (−1e-18 to −1e-10). Copied into the decision as
+// they were, those read as negative grid draws or energy charges, the auditor
+// rightly rejected them, and the hour fell to the greedy rung — which ignores
+// the demand charge and can bill far over budget.
+func TestBatteryMonthNoAuditRejects(t *testing.T) {
+	if testing.Short() {
+		t.Skip("month-long tariff sim")
+	}
+	cfg, err := PaperScenario(pricing.Policy1, TightBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DemandChargeUSDPerMWMonth = 1500
+	cfg.Batteries = testBatteries(len(cfg.DCs))
+
+	res, err := Run(cfg, resilientDecider(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := 0
+	for _, h := range res.Hours {
+		if h.Step == core.StepBudgetCapped {
+			capped++
+		}
+		if h.Degraded == core.DegradeAudit {
+			t.Errorf("hour %d: served by the %v rung", h.Hour, h.Degraded)
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no budget-capped hour: the month does not exercise a binding budget")
+	}
+}
+
 // TestTariffMonthWithBatteryAndDemandCharge is the satellite month soak
 // (run with -race in CI): a full four-week month with batteries, a demand
 // charge and two-settlement, under a finite budget, must complete with a
