@@ -85,6 +85,10 @@ type fleetResult struct {
 	DecompIterations int     `json:"decompIterations"`
 	DecompObjective  float64 `json:"decompObjective"`
 	DecompDualBound  float64 `json:"decompDualBound"`
+	// DecompPolishes and DecompLPPivots count the primal polish LPs the
+	// decomposition actually solved and their simplex pivots.
+	DecompPolishes int `json:"decompPolishes"`
+	DecompLPPivots int `json:"decompLPPivots"`
 	// DecompGapPct is the decomposition's own proven relative gap between its
 	// dual bound and recovered primal, in percent.
 	DecompGapPct float64 `json:"decompGapPct"`
@@ -134,6 +138,8 @@ func runFleet(sites, maxNodes, reps int, exactDeadline time.Duration) fleetResul
 			fr.DecompIterations = res.Iterations
 			fr.DecompObjective = res.Objective
 			fr.DecompDualBound = res.DualBound
+			fr.DecompPolishes = res.Polishes
+			fr.DecompLPPivots = res.LPPivots
 			fr.DecompGapPct = 100 * res.Gap
 		}
 	}
@@ -265,9 +271,9 @@ func main() {
 		for _, sites := range []int{50, 200, 500} {
 			fr := runFleet(sites, maxNodes, reps, exactDeadline)
 			rep.Fleet = append(rep.Fleet, fr)
-			fmt.Printf("fleet sites=%-4d exact=%9.1fms (%s, %d nodes)  decomp=%8.1fms (%s, %d iters)  gap=%.3f%%  vsExact=%+.3f%%\n",
+			fmt.Printf("fleet sites=%-4d exact=%9.1fms (%s, %d nodes)  decomp=%8.1fms (%s, %d iters, %d polishes, %d pivots)  gap=%.3f%%  vsExact=%+.3f%%\n",
 				sites, fr.ExactWallMS, fr.ExactStatus, fr.ExactNodes,
-				fr.DecompWallMS, fr.DecompStatus, fr.DecompIterations, fr.DecompGapPct, fr.VsExactPct)
+				fr.DecompWallMS, fr.DecompStatus, fr.DecompIterations, fr.DecompPolishes, fr.DecompLPPivots, fr.DecompGapPct, fr.VsExactPct)
 			if sites == 50 && fr.DecompGapPct > 1 {
 				fleetGateOK = false
 			}

@@ -127,12 +127,17 @@ func (p *RoutePlane) Snapshot() *dispatch.Snapshot { return p.snap.Load() }
 // shed hour allocates zero everywhere — cannot become a table; the previous
 // snapshot stays live and Install returns false.
 func (p *RoutePlane) Install(in core.HourInput, dec core.Decision) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.installLocked(in, dec)
+}
+
+// installLocked is Install with p.mu held.
+func (p *RoutePlane) installLocked(in core.HourInput, dec core.Decision) bool {
 	arrivedOrdinary := in.TotalLambda - in.PremiumLambda
 	if arrivedOrdinary < 0 {
 		arrivedOrdinary = 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	snap, err := dispatch.NewSnapshot(dec.Lambdas(), dec.ServedOrdinary, arrivedOrdinary, in.Hour, p.version+1)
 	if err != nil {
 		return false
@@ -171,9 +176,7 @@ func (p *RoutePlane) noteArrivals(snap *dispatch.Snapshot, n int) {
 
 // resolveDrift re-poses the remembered hour at the observed arrival rate,
 // solves it through the resilient ladder (never blocking the request path),
-// and installs the result. If the answer is uninstallable — the ladder shed
-// the hour — the detector is disarmed so the still-climbing arrival count
-// cannot re-trip a re-solve loop against an unroutable decision.
+// and installs the result through installDrift.
 func (p *RoutePlane) resolveDrift(observed float64) {
 	defer p.resolving.Store(false)
 	d := p.detector.Load()
@@ -182,7 +185,7 @@ func (p *RoutePlane) resolveDrift(observed float64) {
 	}
 	predicted := d.Predicted()
 	p.mu.Lock()
-	in, ok := p.lastIn, p.haveIn
+	in, ok, version := p.lastIn, p.haveIn, p.version
 	p.mu.Unlock()
 	if !ok || predicted <= 0 {
 		return
@@ -190,9 +193,28 @@ func (p *RoutePlane) resolveDrift(observed float64) {
 	scaled := in.ScaleLoad(observed / predicted)
 	dec := p.resilient.Decide(scaled)
 	p.driftResolves.Inc()
-	if !p.Install(scaled, dec) {
-		d.Arm(0)
+	p.installDrift(d, version, scaled, dec)
+}
+
+// installDrift installs a drift re-solve of the table at version, unless a
+// newer install has superseded that table while the solve ran — the solve
+// can wait on the ladder behind the next hour's /v1/decide — in which case
+// the answer is dropped and the detector, armed by that newer install, is
+// left alone. If the answer is uninstallable — the ladder shed the hour —
+// the detector is disarmed so the still-climbing arrival count cannot
+// re-trip a re-solve loop against an unroutable decision. It reports
+// whether the answer was installed.
+func (p *RoutePlane) installDrift(d *forecast.DriftDetector, version uint64, in core.HourInput, dec core.Decision) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.version != version {
+		return false
 	}
+	if !p.installLocked(in, dec) {
+		d.Arm(0)
+		return false
+	}
+	return true
 }
 
 // FlushMetrics folds every tracked snapshot's striped counters into the

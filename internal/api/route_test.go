@@ -275,6 +275,52 @@ func TestRouteInstallShedKeepsTable(t *testing.T) {
 	}
 }
 
+// driftSolve is the solving half of a drift re-solve: read the live table's
+// version and hour input, as resolveDrift does, and solve the hour scaled by
+// factor through the ladder.
+func driftSolve(plane *RoutePlane, factor float64) (uint64, core.HourInput, core.Decision) {
+	plane.mu.Lock()
+	in, version := plane.lastIn, plane.version
+	plane.mu.Unlock()
+	scaled := in.ScaleLoad(factor)
+	return version, scaled, plane.resilient.Decide(scaled)
+}
+
+// TestRouteDriftSupersededKeepsNewerHour: a drift re-solve for hour h that
+// finishes after hour h+1's table went live must leave hour h+1's table and
+// detector in place. Without the version guard the late answer was
+// installed unconditionally: hour h's scaled table replaced hour h+1's and
+// re-armed the detector with hour h's prediction.
+func TestRouteDriftSupersededKeepsNewerHour(t *testing.T) {
+	s, ts := newRouteTestServer(t)
+	plane := s.RoutePlane()
+	d := plane.detector.Load()
+	decideOnce(t, ts, 1e12, 4e11, 1)
+	version, scaled, dec := driftSolve(plane, 2)
+	decideOnce(t, ts, 6e11, 2e11, 2) // hour 2 goes live while hour 1 re-solves
+	if plane.installDrift(d, version, scaled, dec) {
+		t.Fatal("superseded drift answer installed")
+	}
+	if snap := plane.Snapshot(); snap.Hour() != 2 || snap.Version() != 2 {
+		t.Fatalf("live table hour %d version %d, want hour 2 version 2", snap.Hour(), snap.Version())
+	}
+	if got := d.Predicted(); got != 6e11 {
+		t.Errorf("detector armed at %v, want hour 2's 6e11", got)
+	}
+
+	// A re-solve of the live table still swaps in.
+	version, scaled, dec = driftSolve(plane, 2)
+	if !plane.installDrift(d, version, scaled, dec) {
+		t.Fatal("drift answer for the live table not installed")
+	}
+	if snap := plane.Snapshot(); snap.Hour() != 2 || snap.Version() != 3 {
+		t.Fatalf("live table hour %d version %d, want hour 2 version 3", snap.Hour(), snap.Version())
+	}
+	if got := d.Predicted(); got != 1.2e12 {
+		t.Errorf("detector armed at %v, want the re-solve's 1.2e12", got)
+	}
+}
+
 // TestRouteMetricsFlushIsDelta: scraping twice must not double-count.
 func TestRouteMetricsFlushIsDelta(t *testing.T) {
 	s, ts := newRouteTestServer(t)

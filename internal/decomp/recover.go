@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -33,16 +34,29 @@ func (c candidate) betterThan(o candidate, maxSense bool) bool {
 // violations worst-unit-cost first, fill remaining headroom cheapest-chunk
 // first (the shape of internal/fallback's dispatcher: all-or-nothing segment
 // entries, partial within-segment extensions), then polish the continuous
-// loads with a tiny LP on the chosen segments.
+// loads with a tiny LP on the chosen segments. One recoverer serves one
+// Solve.
 type recoverer struct {
 	inst *Instance
 	core lp.Core
 	// expired, when non-nil, reports that the solve's deadline or Cancel has
 	// fired: recovery then bails out of the greedy fill and skips the polish
 	// LP, so a primal pass in flight cannot overrun the hour's budget.
-	expired  func() bool
+	expired func() bool
+	// pivots and polishes count the polish LPs actually solved; memo hits
+	// add nothing.
 	pivots   int
 	polishes int
+	// memo holds every polish answer of this Solve, keyed by every site's
+	// segment choice (see polish); key is the reused lookup buffer.
+	memo map[string]polished
+	key  []byte
+}
+
+// polished is one memoized polish answer.
+type polished struct {
+	cand candidate
+	ok   bool
 }
 
 func (r *recoverer) done() bool { return r.expired != nil && r.expired() }
@@ -525,7 +539,29 @@ func (r *recoverer) candidateFrom(st []sel) (candidate, bool) {
 // exactly: a tiny LP — one bounded variable per running site, at most two
 // rows — on the sparse revised-simplex core. This recovers most of the
 // integrality gap the greedy restoration leaves behind.
+//
+// The LP reads nothing of st but its segment choices, so its answer is
+// memoized for the rest of the Solve under those choices (seg -1 for an off
+// site, whose load no caller reads): later iterates that restore to a plan
+// already polished — most of them, once the multipliers settle — reuse it.
 func (r *recoverer) polish(st []sel) (candidate, bool) {
+	r.key = r.key[:0]
+	for _, c := range st {
+		r.key = binary.AppendUvarint(r.key, uint64(c.seg+1))
+	}
+	if p, hit := r.memo[string(r.key)]; hit {
+		return p.cand, p.ok
+	}
+	cand, ok := r.solvePolish(st)
+	if r.memo == nil {
+		r.memo = make(map[string]polished)
+	}
+	r.memo[string(r.key)] = polished{cand, ok}
+	return cand, ok
+}
+
+// solvePolish builds and solves the polish LP for st.
+func (r *recoverer) solvePolish(st []sel) (candidate, bool) {
 	inst := r.inst
 	maxSense := inst.Sense == MaxLoadWithinBudget
 	useBal := !math.IsInf(inst.TargetLoad, 1)

@@ -111,6 +111,50 @@ func TestRouteDiscrepancyProperty(t *testing.T) {
 	}
 }
 
+// allSitesTable is Table.Route's reference: the largest-remainder walk over
+// every site, idle ones included, on every request.
+type allSitesTable struct{ weights, credit []float64 }
+
+func (o *allSitesTable) route() int {
+	best, bestCredit := 0, math.Inf(-1)
+	for i := range o.credit {
+		o.credit[i] += o.weights[i]
+		if o.credit[i] > bestCredit {
+			bestCredit = o.credit[i]
+			best = i
+		}
+	}
+	o.credit[best]--
+	return best
+}
+
+// TestRouteMatchesAllSitesWalk: walking only the positive-weight sites
+// routes the same sequence as walking all of them, over three wheel cycles
+// of the loads the snapshot properties draw.
+func TestRouteMatchesAllSitesWalk(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		lambdas := randomLoads(r)
+		tbl, err := NewTable(lambdas)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		w := tbl.Weights()
+		oracle := &allSitesTable{weights: w, credit: make([]float64, len(w))}
+		for k := 0; k < 3*patternLen(len(w)); k++ {
+			if got, want := tbl.Route(), oracle.route(); got != want {
+				t.Logf("seed %d: request %d routed to site %d, all-sites walk says %d", seed, k, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWeightsSumToOne(t *testing.T) {
 	tbl, _ := NewTable([]float64{5, 10, 15})
 	sum := 0.0

@@ -25,8 +25,10 @@ import (
 //
 // Within one cycle the wheel inherits the Table's low-discrepancy
 // guarantee (every prefix of n requests puts each site within ±1.5 of
-// n·weight, and SnapshotOf(t).RouteN(n) equals t.RouteN(n) exactly for
-// n ≤ PatternLen). Each full cycle routes exactly the largest-remainder
+// n·weight, and for n ≤ PatternLen the snapshot routes exactly the site
+// sequence a fresh NewTable of the same loads would). Compiling the wheel
+// costs PatternLen × (sites with positive weight): idle sites are never
+// walked. Each full cycle routes exactly the largest-remainder
 // apportionment of patternLen requests, so across m wrapped cycles the
 // worst per-site deviation grows only as m·|cycleCount − patternLen·w| < m
 // — at the default 65536-entry wheel, under 0.002% of the routed volume.
@@ -121,14 +123,6 @@ func NewSnapshot(lambdas []float64, servedOrdinary, arrivedOrdinary float64, hou
 		s.shards[i].counts = make([]atomic.Int64, padded)
 	}
 	return s, nil
-}
-
-// SnapshotOf compiles an existing decision's table and gate (both may have
-// routed already; the snapshot starts from their configured weights and
-// rate, not their credit state).
-func SnapshotOf(t *Table, g *Gate, hour int, version uint64) (*Snapshot, error) {
-	lambdas := t.Weights()
-	return NewSnapshot(lambdas, g.OrdinaryRate(), 1, hour, version)
 }
 
 // Route assigns the next request and returns its site index. Wait-free: one
