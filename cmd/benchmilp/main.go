@@ -1,8 +1,7 @@
 // Command benchmilp measures the MILP solver at paper scale (5·N binaries
 // for N sites, paper §IV) and writes the results as JSON for CI artifacts
-// and cross-machine comparison: the dense and sparse LP cores on the
-// deterministic hard-knapsack family, cold versus incremental re-solves of
-// the paper-hour family, and (with -fleet) the exact MILP against dual
+// and cross-machine comparison: cold versus incremental re-solves of the
+// paper-hour family, and (with -fleet) the exact MILP against dual
 // decomposition at fleet scale.
 //
 // Usage:
@@ -21,7 +20,6 @@ import (
 	"time"
 
 	"billcap/internal/decomp"
-	"billcap/internal/lp"
 	"billcap/internal/milp"
 )
 
@@ -39,31 +37,6 @@ type incrementalResult struct {
 	ColdWallMS    float64 `json:"coldWallMS"`
 	WarmWallMS    float64 `json:"warmWallMS"`
 	NodeReduction float64 `json:"nodeReduction"` // 1 − warmNodes/coldNodes
-}
-
-// coreResult is one LP core's run of the fixed-budget knapsack instance (the
-// search is deterministic, so the explored tree is identical across cores and
-// the wall-clock ratio is a pure LP-core ratio).
-type coreResult struct {
-	Core             string  `json:"core"`
-	WallMS           float64 `json:"wallMS"`
-	Nodes            int     `json:"nodes"`
-	NodesPerSec      float64 `json:"nodesPerSec"`
-	LPIterations     int     `json:"lpIterations"`
-	Refactorizations int     `json:"lpRefactorizations"`
-	BasisUpdates     int     `json:"lpBasisUpdates"`
-	Status           string  `json:"status"`
-	Objective        float64 `json:"objective"`
-}
-
-// coreCompare pairs the dense tableau oracle against the sparse revised
-// simplex on the same instance and node budget.
-type coreCompare struct {
-	Sites         int        `json:"sites"`
-	Binaries      int        `json:"binaries"`
-	Dense         coreResult `json:"dense"`
-	Sparse        coreResult `json:"sparse"`
-	SparseSpeedup float64    `json:"sparseSpeedup"` // dense wall / sparse wall
 }
 
 // fleetResult pits the exact MILP against the Lagrangian dual decomposition
@@ -102,7 +75,6 @@ type report struct {
 	GoMaxProcs  int                 `json:"goMaxProcs"`
 	MaxNodes    int                 `json:"maxNodes"`
 	Reps        int                 `json:"reps"`
-	LPCores     []coreCompare       `json:"lpCores"`
 	Incremental []incrementalResult `json:"incremental"`
 	Fleet       []fleetResult       `json:"fleet,omitempty"`
 }
@@ -147,31 +119,6 @@ func runFleet(sites, maxNodes, reps int, exactDeadline time.Duration) fleetResul
 		fr.VsExactPct = 100 * (fr.DecompObjective/fr.ExactObjective - 1)
 	}
 	return fr
-}
-
-// runCore solves the instance best-of-reps on one LP core.
-func runCore(sites, maxNodes, reps int, core lp.Core) coreResult {
-	k := milp.NewHardKnapsack(5*sites, 0)
-	best := coreResult{Core: core.String()}
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		s := k.SolveWithOptions(milp.Options{MaxNodes: maxNodes, LPCore: core})
-		wall := time.Since(start)
-		if s.Status != milp.Optimal && s.Status != milp.Limit {
-			log.Fatalf("lpcore %v sites=%d: unexpected status %v", core, sites, s.Status)
-		}
-		if best.WallMS == 0 || wall.Seconds()*1e3 < best.WallMS {
-			best.WallMS = wall.Seconds() * 1e3
-			best.Nodes = s.Nodes
-			best.NodesPerSec = float64(s.Nodes) / wall.Seconds()
-			best.LPIterations = s.Pivots
-			best.Refactorizations = s.LPRefactorizations
-			best.BasisUpdates = s.LPBasisUpdates
-			best.Status = s.Status.String()
-			best.Objective = s.Objective
-		}
-	}
-	return best
 }
 
 // runIncremental re-solves an hour sequence of the milp.NewPaperHour family
@@ -221,7 +168,7 @@ func main() {
 	out := flag.String("out", "BENCH_milp.json", "path to write the JSON report")
 	quick := flag.Bool("quick", false, "CI smoke mode: smaller node budget, one repetition")
 	gate := flag.Bool("gate", false,
-		"exit nonzero if the sparse core is slower (nodes/sec) than the dense oracle on the largest instance, or if the fleet decomposition gap at N=50 exceeds 1%")
+		"exit nonzero if the fleet decomposition gap at N=50 exceeds 1%")
 	fleet := flag.Bool("fleet", false,
 		"also run the fleet section: exact MILP vs Lagrangian dual decomposition on milp.NewPaperFleet at N=50/200/500")
 	flag.Parse()
@@ -232,25 +179,11 @@ func main() {
 	}
 
 	rep := report{
-		Bench:      "milp branch-and-bound at 5·N binaries: LP cores, incremental re-solves, fleet decomposition",
+		Bench:      "milp branch-and-bound at 5·N binaries: incremental re-solves, fleet decomposition",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		MaxNodes:   maxNodes,
 		Reps:       reps,
 	}
-	gateOK := true
-	for _, sites := range []int{5, 10, 20} {
-		cc := coreCompare{Sites: sites, Binaries: 5 * sites}
-		cc.Dense = runCore(sites, maxNodes, reps, lp.CoreDense)
-		cc.Sparse = runCore(sites, maxNodes, reps, lp.CoreSparse)
-		cc.SparseSpeedup = cc.Dense.WallMS / cc.Sparse.WallMS
-		rep.LPCores = append(rep.LPCores, cc)
-		fmt.Printf("lpcore sites=%-3d dense=%8.1fms (%8.0f nodes/s)  sparse=%8.1fms (%8.0f nodes/s)  speedup=%.2f\n",
-			sites, cc.Dense.WallMS, cc.Dense.NodesPerSec, cc.Sparse.WallMS, cc.Sparse.NodesPerSec, cc.SparseSpeedup)
-		if sites == 20 && cc.Sparse.NodesPerSec < cc.Dense.NodesPerSec {
-			gateOK = false
-		}
-	}
-
 	hours := 12
 	if *quick {
 		hours = 6
@@ -289,9 +222,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (GOMAXPROCS=%d)\n", *out, rep.GoMaxProcs)
-	if *gate && !gateOK {
-		log.Fatal("gate: sparse core slower than the dense oracle at N=20")
-	}
 	if *gate && !fleetGateOK {
 		log.Fatal("gate: fleet decomposition gap above 1% at N=50")
 	}

@@ -39,7 +39,6 @@ import (
 	"billcap/internal/api"
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
-	"billcap/internal/lp"
 	"billcap/internal/pricing"
 )
 
@@ -83,8 +82,6 @@ func main() {
 		"per-decision solver deadline; an expiring solve answers with its best incumbent (0 = unbounded)")
 	solverCache := flag.Bool("solver-cache", false,
 		"incremental hour-over-hour solving: MILP presolve plus a cross-hour warm-start cache (skeleton, basis, incumbent)")
-	lpcore := flag.String("lpcore", "",
-		"LP core behind every relaxation: sparse (revised simplex, the default) or dense (tableau oracle)")
 	decompose := flag.Bool("decompose", false,
 		"fleet-scale solving: route hour decisions through Lagrangian dual decomposition when the fleet exceeds -decompose-threshold sites")
 	decomposeThreshold := flag.Int("decompose-threshold", 0,
@@ -101,11 +98,6 @@ func main() {
 		"per-site battery as capMWh:maxMW:eff[:socMWh[:valueUSDPerMWh]], e.g. 40:15:0.9 — the same spec at every site (implies -tariff)")
 	flag.Parse()
 
-	core0, err := lp.ParseCore(*lpcore)
-	if err != nil {
-		log.Fatalf("capperd: %v", err)
-	}
-
 	if *variant < 0 || *variant > 3 {
 		log.Fatal("capperd: variant must be 0..3")
 	}
@@ -121,7 +113,6 @@ func main() {
 	srv, err := api.New(dcs, pols, core.Options{
 		SolveDeadline: *deadline,
 		SolverCache:   *solverCache,
-		LPCore:        core0,
 
 		Decompose:          *decompose,
 		DecomposeThreshold: *decomposeThreshold,

@@ -397,7 +397,7 @@ type DecideResponse struct {
 	SolverPresolveFixed int `json:"solverPresolveFixed,omitempty"`
 	SolverWarmStarted   int `json:"solverWarmStarted,omitempty"`
 	// SolverLPRefactorizations / SolverLPBasisUpdates expose the sparse LP
-	// core's basis-factorization work (0 when the dense oracle ran).
+	// core's basis-factorization work (LU rebuilds, eta-file updates).
 	SolverLPRefactorizations int `json:"solverLPRefactorizations,omitempty"`
 	SolverLPBasisUpdates     int `json:"solverLPBasisUpdates,omitempty"`
 	// SolverDecompIterations / SolverDecompGap / SolverDecompDualBound report

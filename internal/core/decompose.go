@@ -28,12 +28,11 @@ func (o Options) decomposeThreshold() int {
 }
 
 // decompOptions maps the per-solve MILP options onto the decomposition
-// loop: deadline, cancellation and LP core carry over.
+// loop: deadline and cancellation carry over.
 func (s *System) decompOptions(so milp.Options) decomp.Options {
 	return decomp.Options{
 		Deadline: so.Deadline,
 		Cancel:   so.Cancel,
-		LPCore:   so.LPCore,
 	}
 }
 

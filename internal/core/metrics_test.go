@@ -74,7 +74,7 @@ func TestDecideHourMetrics(t *testing.T) {
 	if reg.Counter("billcap_milp_pivots_total", "").Value() <= 0 {
 		t.Error("no simplex pivots recorded")
 	}
-	// The sparse LP core (the default) reports its basis work; the counters
+	// The sparse LP core reports its basis work; the counters
 	// must at least be exposed, and eta updates accrue on any nontrivial hour.
 	if !strings.Contains(out, "billcap_lp_refactorizations_total") ||
 		!strings.Contains(out, "billcap_lp_basis_updates_total") {

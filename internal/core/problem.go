@@ -41,7 +41,7 @@ type SolverStats struct {
 	WarmStarted int
 	// LPRefactorizations and LPBasisUpdates are the sparse LP core's basis
 	// work — LU rebuilds and eta-file updates — across the decision's
-	// relaxations. Both stay 0 when the dense oracle ran the solves.
+	// relaxations. A relaxation the dense fallback answered adds to neither.
 	LPRefactorizations int
 	LPBasisUpdates     int
 	// DecompSolves counts hour solves routed to the dual-decomposition path

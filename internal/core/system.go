@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"billcap/internal/dcmodel"
-	"billcap/internal/lp"
 	"billcap/internal/milp"
 	"billcap/internal/pricing"
 )
@@ -80,13 +79,6 @@ type Options struct {
 	// possibly suboptimal answer instead of a hang (the real-time controller
 	// must answer every invocation period).
 	SolveDeadline time.Duration
-	// MaxSolveNodes caps branch-and-bound nodes per solve; 0 → the solver
-	// default.
-	MaxSolveNodes int
-	// LPCore selects the simplex implementation behind every LP relaxation
-	// (lp.CoreSparse, the default, or lp.CoreDense — the dense tableau
-	// retained as the correctness oracle).
-	LPCore lp.Core
 	// Decompose enables the Lagrangian dual-decomposition solve path for
 	// fleet-scale hour decisions: when the fleet exceeds DecomposeThreshold
 	// sites, decideSteps routes each step's solve to internal/decomp —
@@ -113,11 +105,7 @@ type Options struct {
 
 // solveOptions derives the per-solve MILP options from the system options.
 func (s *System) solveOptions() milp.Options {
-	return milp.Options{
-		Deadline: s.opts.SolveDeadline,
-		MaxNodes: s.opts.MaxSolveNodes,
-		LPCore:   s.opts.LPCore,
-	}
+	return milp.Options{Deadline: s.opts.SolveDeadline}
 }
 
 func (o Options) capPenalty() float64 {

@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"billcap/internal/lp"
 )
 
 // Sense selects which hour decision the instance encodes.
@@ -201,10 +199,17 @@ func (inst *Instance) normalize() (Instance, float64, float64) {
 	return out, sL, sC
 }
 
+// Subgradient loop settings.
+const (
+	// maxIters caps the subgradient iterations.
+	maxIters = 160
+	// theta0 is the initial Polyak step scale. The loop halves its scale
+	// after several consecutive iterations without dual progress.
+	theta0 = 1.0
+)
+
 // Options tune a Solve. The zero value is ready to use.
 type Options struct {
-	// MaxIters caps the subgradient iterations; 0 → 160.
-	MaxIters int
 	// GapTol is the relative primal–dual gap at which the loop declares
 	// convergence; 0 → 1e-3.
 	GapTol float64
@@ -213,18 +218,6 @@ type Options struct {
 	Deadline time.Duration
 	// Cancel aborts the loop early when closed (a context's Done channel).
 	Cancel <-chan struct{}
-	// Theta is the initial Polyak step scale; 0 → 1. It halves after
-	// several consecutive iterations without dual progress.
-	Theta float64
-	// LPCore selects the simplex core behind the primal polish LPs.
-	LPCore lp.Core
-}
-
-func (o Options) maxIters() int {
-	if o.MaxIters <= 0 {
-		return 160
-	}
-	return o.MaxIters
 }
 
 func (o Options) gapTol() float64 {
@@ -232,13 +225,6 @@ func (o Options) gapTol() float64 {
 		return 1e-3
 	}
 	return o.GapTol
-}
-
-func (o Options) theta() float64 {
-	if o.Theta <= 0 {
-		return 1
-	}
-	return o.Theta
 }
 
 // Status reports how a Solve ended.
@@ -367,7 +353,7 @@ func Solve(inst Instance, opt Options) (Result, error) {
 	}
 
 	res := Result{Status: GapLimit}
-	rec := &recoverer{inst: &inst, core: opt.LPCore, expired: expired}
+	rec := &recoverer{inst: &inst, expired: expired}
 
 	// Bootstrap a feasible primal from the minimal state (everything off or
 	// at its cheapest mandatory minimum), greedily filled and polished —
@@ -390,13 +376,13 @@ func Solve(inst Instance, opt Options) (Result, error) {
 	if !maxSense {
 		dualBest = math.Inf(-1)
 	}
-	theta := opt.theta()
+	theta := theta0
 	stall := 0
 	const stallLimit = 6
 
 	choices := make([]choice, n)
 
-	for it := 1; it <= opt.maxIters(); it++ {
+	for it := 1; it <= maxIters; it++ {
 		res.Iterations = it
 		if expired() {
 			break

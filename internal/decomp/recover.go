@@ -38,7 +38,6 @@ func (c candidate) betterThan(o candidate, maxSense bool) bool {
 // Solve.
 type recoverer struct {
 	inst *Instance
-	core lp.Core
 	// expired, when non-nil, reports that the solve's deadline or Cancel has
 	// fired: recovery then bails out of the greedy fill and skips the polish
 	// LP, so a primal pass in flight cannot overrun the hour's budget.
@@ -606,7 +605,7 @@ func (r *recoverer) solvePolish(st []sel) (candidate, bool) {
 		}
 		pb.AddConstraint(budTerms, lp.LE, rhs)
 	}
-	sol := pb.SolveWithOptions(lp.Options{Core: r.core})
+	sol := pb.Solve()
 	r.polishes++
 	r.pivots += sol.Pivots
 	if sol.Status != lp.Optimal {

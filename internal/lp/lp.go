@@ -4,69 +4,23 @@
 //	subject to  a_k·x (≤ | = | ≥) b_k   for every constraint k
 //	            lo ≤ x ≤ hi             (lo ≥ 0; hi may be +Inf)
 //
-// Two interchangeable cores implement the same contract:
+// Every solve runs on a sparse revised simplex over a CSC-stored constraint
+// matrix with an LU-factorized basis, eta-file updates between periodic
+// refactorizations, native bounded-variable handling and Devex pricing.
+// Branching bounds and binary bounds are bound changes, not rows, so the
+// basis never grows during branch and bound.
 //
-//   - CoreSparse (the default): a sparse revised simplex over a CSC-stored
-//     constraint matrix with an LU-factorized basis, eta-file updates between
-//     periodic refactorizations, native bounded-variable handling and Devex
-//     pricing. Branching bounds and binary bounds are bound changes, not rows,
-//     so the basis never grows during branch and bound.
-//   - CoreDense: the original dense two-phase tableau simplex, retained as the
-//     correctness oracle (variable bounds are lowered into explicit rows).
-//
-// Both cores answer identically within tolerance; the cross-oracle property
-// tests in this package enforce that.
+// The original dense two-phase tableau simplex (variable bounds lowered into
+// explicit rows) stays inside the package, unexported and cold-only, for two
+// jobs: it answers when a sparse refactorization goes numerically singular,
+// and it is the oracle the cross-checking tests compare the sparse core
+// against.
 package lp
 
 import (
 	"fmt"
 	"math"
 )
-
-// Core selects the simplex implementation.
-type Core int
-
-// Core values. The zero value selects the sparse revised simplex.
-const (
-	CoreDefault Core = iota // the zero value: the sparse core
-	CoreSparse              // sparse revised simplex, LU basis, Devex pricing
-	CoreDense               // dense two-phase tableau (the correctness oracle)
-)
-
-// String names the core ("sparse", "dense").
-func (c Core) String() string {
-	switch c {
-	case CoreSparse:
-		return "sparse"
-	case CoreDense:
-		return "dense"
-	case CoreDefault:
-		return "default"
-	}
-	return fmt.Sprintf("Core(%d)", int(c))
-}
-
-// ParseCore maps "dense"/"sparse" (or "" for the default) onto a Core.
-func ParseCore(s string) (Core, error) {
-	switch s {
-	case "", "default":
-		return CoreDefault, nil
-	case "sparse":
-		return CoreSparse, nil
-	case "dense":
-		return CoreDense, nil
-	}
-	return CoreDefault, fmt.Errorf("lp: unknown core %q (want dense or sparse)", s)
-}
-
-// core resolves the options' core selection: the dense oracle only when
-// asked for, the sparse core otherwise.
-func (o Options) core() Core {
-	if o.Core == CoreDense {
-		return CoreDense
-	}
-	return CoreSparse
-}
 
 // Rel is the relation of a constraint row to its right-hand side.
 type Rel int
@@ -139,9 +93,9 @@ func (p *Problem) AddVar(name string, objCoef float64) int {
 }
 
 // SetVarBounds replaces the bounds of variable v with lo ≤ x_v ≤ hi. The
-// lower bound must be finite and nonnegative (both cores keep x ≥ 0 exact);
+// lower bound must be finite and nonnegative (the solver keeps x ≥ 0 exact);
 // hi may be +Inf. The sparse core handles bounds natively — they cost no
-// constraint rows — while the dense oracle lowers them into internal rows.
+// constraint rows — while the dense tableau lowers them into internal rows.
 func (p *Problem) SetVarBounds(v int, lo, hi float64) {
 	if v < 0 || v >= len(p.obj) {
 		panic(fmt.Sprintf("lp: SetVarBounds on unknown variable %d", v))
@@ -268,7 +222,8 @@ type Solution struct {
 	// out of an optimal power flow.
 	Duals []float64
 	// Refactorizations and BasisUpdates count the sparse core's LU rebuilds
-	// and eta-file basis updates; both stay 0 on the dense oracle.
+	// and eta-file basis updates; both stay 0 when the dense tableau
+	// answered instead.
 	Refactorizations int
 	BasisUpdates     int
 }

@@ -49,13 +49,19 @@ func randomOracleProblem(r *rand.Rand) *Problem {
 
 // TestSparseMatchesDenseOracleProperty is the cross-oracle contract: on random
 // bounded-variable LPs the sparse revised simplex and the dense tableau must
-// agree on status, on the objective to 1e-6, and on the dual vector. Run with
-// -race in CI; the two solves share nothing but the immutable Problem.
+// agree on status, on the objective to 1e-6, and on the dual vector. The
+// sparse side calls the core directly: through Solve, a sparse failure would
+// pass as the dense fallback's answer. Run with -race in CI; the two solves
+// share nothing but the immutable Problem.
 func TestSparseMatchesDenseOracleProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		p := randomOracleProblem(rand.New(rand.NewSource(seed)))
-		ds := p.SolveWithOptions(Options{Core: CoreDense})
-		ss := p.SolveWithOptions(Options{Core: CoreSparse})
+		ds := p.solveDense(Options{})
+		ss, _, ok := p.solveRevised(Options{})
+		if !ok {
+			t.Logf("seed %d: sparse core hit a numerical wall", seed)
+			return false
+		}
 		if ds.Status != ss.Status {
 			t.Logf("seed %d: status dense=%v sparse=%v", seed, ds.Status, ss.Status)
 			return false
@@ -132,19 +138,27 @@ func TestBlandFallbackOnCyclingProne(t *testing.T) {
 	}
 	p.AddConstraint(capTerms, LE, 0)
 
-	for _, core := range []Core{CoreSparse, CoreDense} {
-		s := p.SolveWithOptions(Options{Core: core, MaxPivots: 20000})
-		if s.Status != Optimal {
-			t.Fatalf("%v core: status %v, want optimal (anti-cycling failed)", core, s.Status)
+	opt := Options{MaxPivots: 20000}
+	sparse, _, ok := p.solveRevised(opt)
+	if !ok {
+		t.Fatal("sparse core hit a numerical wall")
+	}
+	for _, c := range []struct {
+		core string
+		sol  Solution
+	}{{"sparse", sparse}, {"dense", p.solveDense(opt)}} {
+		if c.sol.Status != Optimal {
+			t.Fatalf("%s core: status %v, want optimal (anti-cycling failed)", c.core, c.sol.Status)
 		}
-		if !near(s.Objective, 0, 1e-9) {
-			t.Errorf("%v core: objective %v, want 0", core, s.Objective)
+		if !near(c.sol.Objective, 0, 1e-9) {
+			t.Errorf("%s core: objective %v, want 0", c.core, c.sol.Objective)
 		}
 	}
 }
 
-// TestDegenerateBealeSparse re-runs Beale's classic cycling example pinned to
-// the sparse core (TestDegenerateBeale covers whatever the default is).
+// TestDegenerateBealeSparse re-runs Beale's classic cycling example on the
+// sparse core alone (TestDegenerateBeale goes through Solve, which would
+// hide a sparse failure behind the dense fallback).
 func TestDegenerateBealeSparse(t *testing.T) {
 	p := NewProblem()
 	x1 := p.AddVar("x1", -0.75)
@@ -154,7 +168,10 @@ func TestDegenerateBealeSparse(t *testing.T) {
 	p.AddConstraint([]Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	p.AddConstraint([]Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
 	p.AddConstraint([]Term{{x3, 1}}, LE, 1)
-	s := p.SolveWithOptions(Options{Core: CoreSparse, MaxPivots: 5000})
+	s, _, ok := p.solveRevised(Options{MaxPivots: 5000})
+	if !ok {
+		t.Fatal("sparse core hit a numerical wall")
+	}
 	if s.Status != Optimal || !near(s.Objective, -0.05, 1e-8) {
 		t.Fatalf("got %v obj=%v, want optimal -0.05", s.Status, s.Objective)
 	}

@@ -52,7 +52,7 @@ type revSolver struct {
 	bland bool // Bland's-rule fallback engaged by the stall counter
 	skip  map[int]bool
 
-	failed bool // singular refactorization: abort to the dense oracle
+	failed bool // singular refactorization: abort to the dense tableau
 }
 
 func newRevSolver(pr *revProblem, opt Options) *revSolver {
@@ -629,7 +629,7 @@ func (s *revSolver) coldSolve() Status {
 		// which pins that row's dual at 0. Eject fixed columns and re-polish
 		// (degenerate pivots only — the point is already optimal) so the
 		// duals come from a basis of marginal activities, like the dense
-		// oracle's.
+		// tableau's.
 		if s.driveOut(func(col int) bool { return pr.lo[col] == pr.hi[col] }) && !s.failed {
 			s.computeDuals()
 			st = s.primal()
@@ -642,7 +642,7 @@ func (s *revSolver) coldSolve() Status {
 // basis wherever a usable non-fixed structural or slack column exists,
 // reporting whether any swap happened. Phase 1 uses it to eject artificials;
 // the post-optimal pass uses it to eject fixed columns (EQ slacks, leftover
-// artificials), matching the dense oracle's artificial elimination so that
+// artificials), matching the dense tableau's artificial elimination so that
 // degenerate duals reflect marginal activity — the convention the power-grid
 // LMPs and the paper-hour budget shadow price rely on. Columns covering
 // genuinely redundant rows stay basic at zero (their row blocks nothing).
@@ -728,8 +728,8 @@ func (s *revSolver) extract(p *Problem, st Status) Solution {
 	return sol
 }
 
-// extractX is extract without the dual recomputation, for warm ReSolves
-// (whose dense counterpart also reports no duals).
+// extractX is extract without the dual recomputation, for warm ReSolves,
+// which report no duals.
 func (s *revSolver) extractX(p *Problem, st Status) Solution {
 	sol := Solution{Status: st, Pivots: s.pivots, Refactorizations: s.refactors, BasisUpdates: s.updates}
 	if st != Optimal {
@@ -771,7 +771,7 @@ func (s *revSolver) cloneForReSolve() *revSolver {
 
 // solveRevised runs the sparse core. ok == false means the core hit a
 // numerical wall (singular refactorization) and the caller should fall back
-// to the dense oracle; every ordinary outcome (including Infeasible,
+// to the dense tableau; every ordinary outcome (including Infeasible,
 // Unbounded, IterLimit) reports ok == true.
 func (p *Problem) solveRevised(opt Options) (Solution, *revSolver, bool) {
 	pr := newRevProblem(p)

@@ -26,26 +26,18 @@ type Options struct {
 	// crash into the fresh solve, skipping phase 1. A basis that does not fit
 	// this problem's shape, violates its constraints, or cannot be repaired
 	// cheaply is discarded and the solve proceeds cold, so the answer is
-	// always as reliable as a cold Solve. Each core interprets the basis by
-	// its own column-numbering convention; a basis recorded by the other core
-	// simply fails the screen and falls back cold.
+	// always as reliable as a cold Solve.
 	CrashBasis []int
-	// Core selects the simplex implementation (sparse revised simplex by
-	// default; CoreDense forces the dense tableau oracle).
-	Core Core
 }
 
 // SolveWithOptions is Solve with explicit options.
 func (p *Problem) SolveWithOptions(opt Options) Solution {
-	if opt.core() == CoreSparse {
-		if sol, _, ok := p.solveRevised(opt); ok {
-			return sol
-		}
-		// The sparse core hit a numerical wall (singular refactorization);
-		// the dense oracle is always available as the fallback.
+	if sol, _, ok := p.solveRevised(opt); ok {
+		return sol
 	}
-	sol, _, _ := p.solveTableau(opt)
-	return sol
+	// The sparse core hit a numerical wall (singular refactorization); the
+	// dense tableau answers instead.
+	return p.solveDense(opt)
 }
 
 // rowKind records how a constraint row was normalized into the tableau: its
@@ -66,15 +58,10 @@ type tabBuild struct {
 	costs       []float64 // minimization-sense structural costs, len NumVars
 }
 
-// solveTableau is the two-phase solve, additionally returning the final
-// tableau and the first artificial column for warm restarts.
-func (p *Problem) solveTableau(opt Options) (Solution, *tableau, int) {
-	if len(opt.CrashBasis) > 0 {
-		if sol, t, artStart, ok := p.solveFromBasis(opt); ok {
-			return sol, t, artStart
-		}
-		// The supplied basis did not fit or could not be repaired; solve cold.
-	}
+// solveDense is the dense tableau's cold two-phase solve: the fallback for a
+// sparse solve that went numerically singular, and the tests' oracle. It
+// honours opt.MaxPivots and ignores opt.CrashBasis.
+func (p *Problem) solveDense(opt Options) Solution {
 	tb := p.buildTableau()
 	t, artStart := tb.t, tb.artStart
 	m := t.m
@@ -95,10 +82,10 @@ func (p *Problem) solveTableau(opt Options) (Solution, *tableau, int) {
 		}
 		st := t.optimize(phase1, nil, maxPivots, &pivots)
 		if st == IterLimit {
-			return Solution{Status: IterLimit, Pivots: pivots}, nil, 0
+			return Solution{Status: IterLimit, Pivots: pivots}
 		}
 		if t.objective(phase1) > 1e-7 {
-			return Solution{Status: Infeasible, Pivots: pivots}, nil, 0
+			return Solution{Status: Infeasible, Pivots: pivots}
 		}
 		// Drive any basic artificials (at value 0) out of the basis where a
 		// structural pivot exists; otherwise they stay at zero and are barred
@@ -123,12 +110,12 @@ func (p *Problem) solveTableau(opt Options) (Solution, *tableau, int) {
 	st := t.optimize(fullCosts, isArt, maxPivots, &pivots)
 	switch st {
 	case IterLimit, Unbounded:
-		return Solution{Status: st, Pivots: pivots}, nil, 0
+		return Solution{Status: st, Pivots: pivots}
 	}
-	return p.extractSolution(tb, fullCosts, pivots), t, artStart
+	return p.extractSolution(tb, fullCosts, pivots)
 }
 
-// denseRows returns the rows the dense oracle builds its tableau over: the
+// denseRows returns the rows the dense tableau is built over: the
 // problem's own constraints followed by rows synthesized from non-default
 // variable bounds (x_v ≤ hi when finite, x_v ≥ lo when positive). The sparse
 // core handles bounds natively; lowering them into explicit rows here keeps
@@ -285,94 +272,6 @@ func (p *Problem) extractSolution(tb tabBuild, fullCosts []float64, pivots int) 
 		duals[k] = y
 	}
 	return Solution{Status: Optimal, X: x, Objective: obj, Pivots: pivots, Duals: duals}
-}
-
-// solveFromBasis attempts to solve the problem starting from a caller-supplied
-// basis instead of running phase 1. The basis is crashed into a fresh tableau
-// row by row; the point it induces is then repaired to optimality by the
-// primal simplex (when already feasible) or the dual simplex followed by a
-// primal polish (when only dual-feasible). Any screen failure — wrong shape,
-// a basic artificial carrying value, a tiny crash pivot, dual infeasibility,
-// or a pivot-cap hit — reports ok == false so the caller falls back to the
-// cold two-phase path. Correctness never depends on the supplied basis: it
-// only decides where the simplex starts.
-func (p *Problem) solveFromBasis(opt Options) (Solution, *tableau, int, bool) {
-	tb := p.buildTableau()
-	t := tb.t
-	if len(opt.CrashBasis) != t.m {
-		return Solution{}, nil, 0, false
-	}
-	for _, b := range opt.CrashBasis {
-		if b < 0 || b >= t.n {
-			return Solution{}, nil, 0, false
-		}
-	}
-	isArt := func(j int) bool { return j >= tb.artStart }
-	maxPivots := opt.MaxPivots
-	if maxPivots == 0 {
-		maxPivots = 200*(t.m+t.n) + 5000
-	}
-	pivots := 0
-
-	// Crash: drive each target column into its row. A target whose pivot
-	// element has gone tiny keeps the row's original slack/artificial — the
-	// repair phases below deal with the partial basis.
-	for i, col := range opt.CrashBasis {
-		if t.basis[i] == col || t.isBasic(col) {
-			continue
-		}
-		if math.Abs(t.a[i][col]) <= 1e-7 {
-			continue
-		}
-		t.pivot(i, col)
-		pivots++
-	}
-	// A basic artificial carrying nonzero value means the crashed point
-	// violates its constraint row; phase 1 would be needed, so bail out.
-	for i, b := range t.basis {
-		if isArt(b) && math.Abs(t.a[i][t.n]) > 1e-7 {
-			return Solution{}, nil, 0, false
-		}
-	}
-
-	fullCosts := make([]float64, t.n)
-	copy(fullCosts, tb.costs)
-	primalFeasible := true
-	for i := 0; i < t.m; i++ {
-		if t.a[i][t.n] < -1e-7 {
-			primalFeasible = false
-			break
-		}
-	}
-	if primalFeasible {
-		for i := 0; i < t.m; i++ {
-			if t.a[i][t.n] < 0 {
-				t.a[i][t.n] = 0
-			}
-		}
-		if st := t.optimize(fullCosts, isArt, maxPivots, &pivots); st != Optimal {
-			return Solution{}, nil, 0, false
-		}
-	} else {
-		// Dual simplex requires dual feasibility; verify before it clamps
-		// negative reduced costs away.
-		z := t.reducedCosts(fullCosts)
-		for j := 0; j < t.n; j++ {
-			if isArt(j) || t.isBasic(j) {
-				continue
-			}
-			if z[j] < -1e-7 {
-				return Solution{}, nil, 0, false
-			}
-		}
-		if st := t.dualSimplex(fullCosts, isArt, maxPivots, &pivots); st != Optimal {
-			return Solution{}, nil, 0, false
-		}
-		if ps := t.optimize(fullCosts, isArt, maxPivots, &pivots); ps != Optimal {
-			return Solution{}, nil, 0, false
-		}
-	}
-	return p.extractSolution(tb, fullCosts, pivots), t, tb.artStart, true
 }
 
 // tableau is a dense simplex tableau in canonical form: basis columns are

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -88,21 +89,7 @@ func TestWarmMatchesColdProperty(t *testing.T) {
 		if root.Status != Optimal {
 			return true // nothing to warm-start; covered elsewhere
 		}
-		// 1-3 random single-variable bounds around the optimum.
-		var extra []ExtraRow
-		q := p.Clone()
-		for k := 0; k < 1+r.Intn(3); k++ {
-			v := r.Intn(p.NumVars())
-			val := root.X[v]
-			var row ExtraRow
-			if r.Intn(2) == 0 {
-				row = ExtraRow{Terms: []Term{{Var: v, Coef: 1}}, Rel: LE, RHS: math.Floor(val)}
-			} else {
-				row = ExtraRow{Terms: []Term{{Var: v, Coef: 1}}, Rel: GE, RHS: math.Ceil(val)}
-			}
-			extra = append(extra, row)
-			q.AddConstraint(row.Terms, row.Rel, row.RHS)
-		}
+		extra, q := randomBoundRows(r, p, root.X)
 		warm := w.ReSolve(extra)
 		cold := q.Solve()
 		if warm.Status != cold.Status {
@@ -118,6 +105,56 @@ func TestWarmMatchesColdProperty(t *testing.T) {
 		}
 		if v := q.CheckFeasible(warm.X, 1e-6); len(v) != 0 {
 			t.Logf("seed %d: warm solution infeasible: %v", seed, v)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomBoundRows draws 1-3 random single-variable bounds around the point x
+// and returns them with a copy of p that carries them as ordinary rows.
+func randomBoundRows(r *rand.Rand, p *Problem, x []float64) ([]ExtraRow, *Problem) {
+	var extra []ExtraRow
+	q := p.Clone()
+	for k := 0; k < 1+r.Intn(3); k++ {
+		v := r.Intn(p.NumVars())
+		var row ExtraRow
+		if r.Intn(2) == 0 {
+			row = ExtraRow{Terms: []Term{{Var: v, Coef: 1}}, Rel: LE, RHS: math.Floor(x[v])}
+		} else {
+			row = ExtraRow{Terms: []Term{{Var: v, Coef: 1}}, Rel: GE, RHS: math.Ceil(x[v])}
+		}
+		extra = append(extra, row)
+		q.AddConstraint(row.Terms, row.Rel, row.RHS)
+	}
+	return extra, q
+}
+
+// TestFallbackWarmStartReSolvesCold covers the WarmStart SolveForWarmStart
+// records when the sparse core goes numerically singular and the dense
+// tableau answers the base problem instead. It freezes no solver state, so
+// Basis must be nil and every ReSolve must be exactly a cold solve of the
+// problem plus the rows.
+func TestFallbackWarmStartReSolvesCold(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p, _ := randomFeasibleLP(r)
+		root := p.solveDense(Options{})
+		if root.Status != Optimal {
+			return true
+		}
+		w := &WarmStart{problem: p, root: root}
+		if b := w.Basis(); b != nil {
+			t.Logf("seed %d: fallback warm start reports basis %v", seed, b)
+			return false
+		}
+		extra, q := randomBoundRows(r, p, root.X)
+		got, want := w.ReSolve(extra), q.Solve()
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: ReSolve %+v, cold %+v", seed, got, want)
 			return false
 		}
 		return true

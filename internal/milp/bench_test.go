@@ -23,8 +23,7 @@ func BenchmarkBranchAndBound(b *testing.B) {
 // BenchmarkPaperScaleBnB sweeps the paper's site counts. The knapsack
 // sub-benchmark explores a fixed node budget on the deterministic hard
 // knapsack at 5·N binaries (the hourly MILP's binary count for N sites), so
-// its nodes/s is a pure search-throughput figure; cmd/benchmilp's lpCores
-// section runs the same workload per LP core and writes BENCH_milp.json.
+// its nodes/s is a pure search-throughput figure.
 func BenchmarkPaperScaleBnB(b *testing.B) {
 	const maxNodes = 1000
 	for _, sites := range []int{5, 10, 20} {

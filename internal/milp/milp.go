@@ -4,7 +4,8 @@
 // It is the replacement for the lp_solve library the paper uses: the paper's
 // electricity-cost problems have one binary per price level per data center
 // (≈ 5·N binaries for N sites), which is comfortably within reach of a plain
-// best-first branch-and-bound with dense LP relaxations.
+// best-first branch-and-bound whose LP relaxations run on internal/lp's
+// sparse revised simplex.
 package milp
 
 import (
@@ -43,8 +44,7 @@ func (p *Problem) AddIntVar(name string, objCoef float64) int {
 
 // AddBinVar adds a {0,1} variable: integer with native bounds [0, 1]. The
 // bound lives on the variable, not in a constraint row — the sparse LP core
-// handles it in the ratio test for free, and the dense oracle lowers it to an
-// explicit row itself, so neither core sees a basis row per binary.
+// handles it in the ratio test for free, so no binary costs a basis row.
 func (p *Problem) AddBinVar(name string, objCoef float64) int {
 	v := p.AddIntVar(name, objCoef)
 	p.SetVarBounds(v, 0, 1)
@@ -116,8 +116,8 @@ type Solution struct {
 	Pivots    int       // total simplex pivots across all LP relaxations
 	// LPRefactorizations and LPBasisUpdates aggregate the sparse LP core's
 	// basis-factorization work across every relaxation of the search: LU
-	// rebuilds and product-form eta updates respectively. Both stay zero when
-	// the dense oracle (Options.LPCore == lp.CoreDense) ran the relaxations.
+	// rebuilds and product-form eta updates respectively. A relaxation the
+	// dense fallback answered adds nothing to either.
 	LPRefactorizations int
 	LPBasisUpdates     int
 	Incumbents         int           // times the incumbent improved during the search
@@ -137,16 +137,21 @@ type Solution struct {
 	RootBasis []int
 }
 
+// Search tolerances.
+const (
+	// intTol is the integrality tolerance. It must sit above the LP solver's
+	// accumulated pivot noise (relative to row magnitudes up to ~1e3 in this
+	// repository), or branching on a phantom fraction like 1.000002 adds the
+	// already-present bound x ≤ 1 and makes no progress.
+	intTol = 1e-4
+	// stopGap is the absolute optimality gap at which the search stops.
+	stopGap = 1e-7
+)
+
 // Options tune the search. The zero value uses defaults suitable for the
 // paper's problem sizes.
 type Options struct {
 	MaxNodes int // 0 → 200000
-	// IntTol is the integrality tolerance. 0 → 1e-4: it must sit above the
-	// LP solver's accumulated pivot noise (relative to row magnitudes up to
-	// ~1e3 in this repository), or branching on a phantom fraction like
-	// 1.000002 adds the already-present bound x ≤ 1 and makes no progress.
-	IntTol float64
-	Gap    float64 // absolute optimality gap at which to stop, 0 → 1e-7
 	// Deadline is the wall-clock budget for the whole solve; 0 → unlimited.
 	// The check is cooperative, between LP relaxations, so the effective
 	// floor is one simplex solve. On expiry the search stops and returns the
@@ -172,7 +177,7 @@ type Options struct {
 	// StartX, when non-nil, proposes a starting incumbent — typically the
 	// previous hour's optimum re-checked against this hour's constraints. It
 	// is used only if it has the right length, its integer entries are
-	// integral within IntTol, every entry is finite, and the snapped point
+	// integral within the integrality tolerance, every entry is finite, and the snapped point
 	// satisfies every constraint; otherwise it is silently ignored, so a
 	// stale or infeasible seed can never corrupt the solve. An accepted seed
 	// gives the search an immediate primal bound (Solution.WarmStarted).
@@ -181,23 +186,12 @@ type Options struct {
 	// lp.Options.CrashBasis — usually Solution.RootBasis of the previous
 	// hour's solve. An unusable basis falls back to the cold two-phase solve.
 	StartBasis []int
-	// LPCore selects the LP core for the root relaxation — and, through the
-	// warm start it records, for every node re-solve of the search. The zero
-	// value selects the sparse revised simplex; lp.CoreDense pins the dense
-	// tableau oracle for A/B comparison.
-	LPCore lp.Core
 }
 
 // withDefaults fills the zero-value knobs.
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-4
-	}
-	if o.Gap == 0 {
-		o.Gap = 1e-7
 	}
 	return o
 }
@@ -219,7 +213,7 @@ type node struct {
 	bound  float64     // LP relaxation objective (minimization sense)
 	bounds []branch    // branching bounds accumulated from the root
 	sol    lp.Solution // the already-solved relaxation at this node
-	pseudo bool        // integral within IntTol but with no feasible rounding:
+	pseudo bool        // integral within intTol but with no feasible rounding:
 	// already failed an incumbent repair, must be branched at zero tolerance
 }
 
@@ -276,8 +270,8 @@ type rootState struct {
 }
 
 // effort aggregates the LP work spent across relaxation solves: simplex
-// pivots plus the sparse core's basis-factorization counters (both zero when
-// the dense oracle ran). It is the accumulator behind Solution.Pivots,
+// pivots plus the sparse core's basis-factorization counters (both zero for
+// a relaxation the dense fallback answered). It is the accumulator behind Solution.Pivots,
 // Solution.LPRefactorizations and Solution.LPBasisUpdates.
 type effort struct {
 	pivots, refactors, updates int
@@ -324,7 +318,7 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 	// Solve the root once and keep its optimal basis; every node's relaxation
 	// (root + branch bound rows) is then re-solved by the warm-started dual
 	// simplex — the same strategy lp_solve's branch-and-bound uses.
-	warm, root := p.Problem.SolveForWarmStart(lp.Options{MaxPivots: opt.MaxLPPivots, CrashBasis: opt.StartBasis, Core: opt.LPCore})
+	warm, root := p.Problem.SolveForWarmStart(lp.Options{MaxPivots: opt.MaxLPPivots, CrashBasis: opt.StartBasis})
 	rs.nodes = 1
 	rs.eff.absorb(root)
 	switch root.Status {
@@ -363,7 +357,7 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 	}
 
 	if opt.StartX != nil {
-		if x, obj, ok := p.acceptStart(opt.StartX, opt.IntTol); ok {
+		if x, obj, ok := p.acceptStart(opt.StartX); ok {
 			rs.seed, rs.seedObj = x, sign*obj
 		}
 	}
@@ -376,10 +370,10 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 }
 
 // acceptStart screens a proposed starting incumbent: right length, finite,
-// integral within tol on the integer variables, and feasible after snapping
+// integral within intTol on the integer variables, and feasible after snapping
 // those to exact integers. Returns the snapped point and its objective in the
 // problem's own direction.
-func (p *Problem) acceptStart(x0 []float64, tol float64) ([]float64, float64, bool) {
+func (p *Problem) acceptStart(x0 []float64) ([]float64, float64, bool) {
 	if len(x0) != p.NumVars() {
 		return nil, 0, false
 	}
@@ -387,7 +381,7 @@ func (p *Problem) acceptStart(x0 []float64, tol float64) ([]float64, float64, bo
 		if math.IsNaN(xv) || math.IsInf(xv, 0) {
 			return nil, 0, false
 		}
-		if p.integer[v] && math.Abs(xv-math.Round(xv)) > tol {
+		if p.integer[v] && math.Abs(xv-math.Round(xv)) > intTol {
 			return nil, 0, false
 		}
 	}
@@ -425,11 +419,11 @@ func (p *Problem) search(opt Options, start time.Time, rs rootState) Solution {
 
 	process := func(bs []branch, sol lp.Solution) {
 		bound := sign * sol.Objective
-		if bound >= incumbentObj-opt.Gap {
+		if bound >= incumbentObj-stopGap {
 			return // dominated
 		}
 		pseudo := false
-		fv := p.mostFractional(sol.X, opt.IntTol)
+		fv := p.mostFractional(sol.X, intTol)
 		if fv < 0 {
 			// Integral within tolerance: repair into an exactly feasible
 			// incumbent (rounding can strand continuous load behind big-M
@@ -481,13 +475,13 @@ func (p *Problem) search(opt Options, start time.Time, rs rootState) Solution {
 			return s
 		}
 		it := heap.Pop(&h).(*node)
-		if it.bound >= incumbentObj-opt.Gap {
+		if it.bound >= incumbentObj-stopGap {
 			continue // pruned by a newer incumbent
 		}
 		// The node's relaxation was solved when it was pushed; branch on it
 		// directly.
 		sol := it.sol
-		fv := p.mostFractional(sol.X, opt.IntTol)
+		fv := p.mostFractional(sol.X, intTol)
 		if fv < 0 {
 			// Tolerance drift on a re-popped node: try the repair unless this
 			// node already failed it (pseudo), then branch at zero tolerance.
@@ -577,7 +571,7 @@ func diveGrace(d time.Duration) time.Duration {
 }
 
 // repairIncumbent turns a relaxation point whose integer variables are all
-// integral within IntTol into an exactly feasible incumbent. Rounding alone is
+// integral within intTol into an exactly feasible incumbent. Rounding alone is
 // not enough: through a big-M row like x ≤ M·y, a binary at 1e-5 — integral
 // under any practical tolerance — still licenses M·1e-5 worth of continuous x,
 // which becomes a constraint violation the moment y snaps to 0. When the
@@ -639,7 +633,7 @@ func (p *Problem) dive(it *node, relax func([]branch) lp.Solution, opt Options, 
 	bounds := it.bounds
 	sol := it.sol
 	for depth := 0; depth <= 2*p.NumIntegerVars()+1; depth++ {
-		fv := p.mostFractional(sol.X, opt.IntTol)
+		fv := p.mostFractional(sol.X, intTol)
 		if fv < 0 {
 			x, obj, re, ok := p.repairIncumbent(bounds, sol, relax)
 			eff.merge(re)

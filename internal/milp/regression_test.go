@@ -90,7 +90,7 @@ func TestDeadlineStillManufacturesIncumbent(t *testing.T) {
 }
 
 // TestBigMIncumbentRepair pins the incumbent-repair contract: a binary within
-// IntTol of 0 still licenses real continuous load through its big-M capacity
+// intTol of 0 still licenses real continuous load through its big-M capacity
 // row (x ≤ M·y with y ≈ 1e-5 admits x = M·1e-5), and naive rounding then
 // reports an infeasible incumbent whose "objective" beats the true optimum.
 // The model mirrors the capper's premium-only hour: two sites, the cheap one

@@ -74,7 +74,7 @@ type SolverTrace struct {
 	PresolveFixed int `json:"presolveFixed,omitempty"`
 	WarmStarted   int `json:"warmStarted,omitempty"`
 	// LPRefactorizations / LPBasisUpdates are the sparse LP core's basis
-	// work (LU rebuilds, eta-file updates); 0 on the dense oracle.
+	// work (LU rebuilds, eta-file updates).
 	LPRefactorizations int `json:"lpRefactorizations,omitempty"`
 	LPBasisUpdates     int `json:"lpBasisUpdates,omitempty"`
 	// DecompIterations / DecompGap / DecompDualBound describe the Lagrangian
