@@ -536,7 +536,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 // handleModel dumps the hour's Step-1 MILP in lp_solve-style text, for
 // offline inspection with cmd/milpsolve. The request body is a
-// DecideRequest; the response is text/plain.
+// DecideRequest, read exactly as /v1/decide reads it (outages, tariff
+// fields and the server's live tariff position) but never committed; the
+// response is text/plain.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
@@ -546,12 +548,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	in := core.HourInput{
-		TotalLambda:   req.TotalLambda,
-		PremiumLambda: req.PremiumLambda,
-		DemandMW:      req.DemandMW,
-		BudgetUSD:     math.Inf(1),
-	}
+	in := s.hourInputFrom(req)
 	var buf bytes.Buffer
 	if err := s.sys.WriteHourModel(&buf, in, in.TotalLambda); err != nil {
 		writeErr(w, statusFor(err), err)

@@ -272,3 +272,59 @@ func TestModelDump(t *testing.T) {
 		t.Errorf("bad input status %d", resp2.StatusCode)
 	}
 }
+
+// postModel returns the /v1/model dump for req, failing on any status but 200.
+func postModel(t *testing.T, url string, req DecideRequest) string {
+	t.Helper()
+	buf, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/model", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("model: status %d: %s", resp.StatusCode, body)
+	}
+	return string(body)
+}
+
+// TestModelDumpReadsTheWholeRequest: the dump poses the hour /v1/decide
+// would solve, so an outage, a demand charge and the server's live tariff
+// position each change it, and dumping commits nothing to that position.
+func TestModelDumpReadsTheWholeRequest(t *testing.T) {
+	plain := DecideRequest{TotalLambda: 1e12, DemandMW: []float64{170, 190, 150}}
+	ts := newTestServer(t)
+	base := postModel(t, ts.URL, plain)
+
+	down := plain
+	down.Down = []bool{true, false, false}
+	if postModel(t, ts.URL, down) == base {
+		t.Error("a down site left the dump unchanged")
+	}
+	charged := plain
+	charged.DemandChargeUSDPerMW = 1500
+	charged.PeakMW = []float64{0, 0, 0}
+	if postModel(t, ts.URL, charged) == base {
+		t.Error("a demand charge left the dump unchanged")
+	}
+
+	tariff := httptest.NewServer(tariffServer(t, 1500, false).Handler())
+	defer tariff.Close()
+	if postModel(t, tariff.URL, plain) == base {
+		t.Error("the server's demand charge left the dump unchanged")
+	}
+	var pos TariffResponse
+	getJSON(t, tariff.URL+"/v1/tariff", &pos)
+	for _, row := range pos.Sites {
+		if row.PeakMW != 0 {
+			t.Errorf("dumping moved site %s's peak to %v", row.Site, row.PeakMW)
+		}
+	}
+}

@@ -8,11 +8,6 @@ import (
 	"billcap/internal/state"
 )
 
-// snapshotEveryDecisions is how many persisted resilient decisions pass
-// between checkpoint snapshots; between snapshots the WAL alone carries the
-// ladder state.
-const snapshotEveryDecisions = 24
-
 // stateLayer is the server's optional crash-safe persistence: a state.Store
 // plus the serialization the concurrent HTTP handlers need around it.
 type stateLayer struct {
@@ -100,7 +95,7 @@ func (s *Server) persistDecision(hour int) {
 		return
 	}
 	s.state.appends++
-	if s.state.appends%snapshotEveryDecisions == 0 {
+	if s.state.appends%state.CheckpointEvery == 0 {
 		cp := state.Checkpoint{Hour: nextHour(ls), Resilient: &ls, Peaks: peaks, BatterySoCMWh: socs}
 		if err := s.state.store.WriteSnapshot(cp); err != nil {
 			s.state.persistErrors.Inc()

@@ -151,9 +151,8 @@ func TestSolverCacheWeekMatchesCold(t *testing.T) {
 			}
 		default:
 			scale := lambdaScale(in.TotalLambda)
-			eps := cold.Options().epsilon()
-			objC := dc.Served/scale - eps*dc.PredictedCostUSD
-			objW := dw.Served/scale - eps*dw.PredictedCostUSD
+			objC := dc.Served/scale - epsilon*dc.PredictedCostUSD
+			objW := dw.Served/scale - epsilon*dw.PredictedCostUSD
 			tol := 1e-9*(1+math.Abs(objC)) + 1e-6
 			if diff := math.Abs(objC - objW); diff > tol {
 				t.Errorf("hour %d (%v): warm objective %v vs cold %v (diff %g)",

@@ -184,19 +184,12 @@ func (s *System) decompMaxThroughput(in HourInput, stats *SolverStats, so milp.O
 	if err != nil {
 		return Decision{}, err
 	}
-	budget := in.BudgetUSD
-	if !math.IsInf(budget, 1) {
-		// The two-settlement position is sunk; only the remainder of the
-		// budget constrains the dispatch (segment costs already include the
-		// demand-charge increments).
-		budget = math.Max(0, budget-s.settlementUSD(in))
-	}
 	inst := decomp.Instance{
 		Sites:      sites,
 		Sense:      decomp.MaxLoadWithinBudget,
 		TargetLoad: in.TotalLambda,
-		BudgetUSD:  budget,
-		Epsilon:    s.opts.epsilon(),
+		BudgetUSD:  s.dispatchBudgetUSD(in),
+		Epsilon:    epsilon,
 	}
 	res, err := decomp.Solve(inst, s.decompOptions(so))
 	if err != nil {

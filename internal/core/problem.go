@@ -557,19 +557,18 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 	// is a sunk constant, so the controllable spend must fit what remains of
 	// the budget after it.
 	if !math.IsInf(in.BudgetUSD, 1) {
-		m.AddConstraint(s.costTerms(vars, in), lp.LE, math.Max(0, in.BudgetUSD-s.settlementUSD(in)))
+		m.AddConstraint(s.costTerms(vars, in), lp.LE, s.dispatchBudgetUSD(in))
 	}
 	// max Σ x − ε·cost.
 	m.SetMaximize(true)
 	for _, v := range vars {
 		m.SetObjectiveCoef(v.x, 1)
 	}
-	eps := s.opts.epsilon()
 	for _, t := range s.costTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-eps*t.Coef)
+		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
 	}
 	for _, t := range batteryValueTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-eps*t.Coef)
+		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
 	}
 	so = s.warmOptions(so, kind, sig, m, vars, in, scale, in.TotalLambda, false, in.BudgetUSD)
 	sol := m.SolveWithOptions(so)

@@ -8,7 +8,7 @@ import (
 	"math"
 	"sync"
 
-	"billcap/internal/fallback"
+	"billcap/internal/decomp"
 )
 
 // ResilientOptions tune the degradation ladder.
@@ -285,37 +285,21 @@ func (r *Resilient) tryMILP(ctx context.Context, in HourInput) (dec Decision, er
 	return r.sys.DecideHourCtx(ctx, in)
 }
 
-// tryGreedy runs the fallback dispatcher, also panic-recovered.
+// tryGreedy runs the solver-free greedy rung, also panic-recovered: decomp's
+// restoration fill over the hour's tariff-aware segments (demand-charge
+// splits, real-time rates), serving premium first and then ordinary load
+// within the budget left after the sunk settlement. Batteries stay idle.
 func (r *Resilient) tryGreedy(in HourInput) (dec Decision, ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
-	sites := make([]fallback.Site, len(r.sys.models))
-	for i, sm := range r.sys.models {
-		dc := sm.site.DC
-		sites[i] = fallback.Site{
-			Name:        dc.Name,
-			MaxLambda:   sm.maxLambda,
-			MWPerLambda: sm.affine.A,
-			IdleMW:      sm.affine.B,
-			PowerCapMW:  dc.PowerCapMW,
-			SlackMW:     dc.RoundingSlackMW(),
-			DemandMW:    in.DemandMW[i],
-			Price:       r.sys.viewFn(i).Fn,
-			Down:        in.SiteDown(i),
-		}
+	sites, err := r.sys.decompSites(in)
+	if err != nil {
+		return Decision{}, false
 	}
-	fd := fallback.Dispatch(sites, fallback.Input{
-		TotalLambda:   in.TotalLambda,
-		PremiumLambda: in.PremiumLambda,
-		BudgetUSD:     in.BudgetUSD,
-	})
-	lambdas := make([]float64, len(fd.Sites))
-	for i, a := range fd.Sites {
-		lambdas[i] = a.Lambda
-	}
+	lambdas := decomp.Greedy(sites, in.PremiumLambda, in.TotalLambda, r.sys.dispatchBudgetUSD(in))
 	return r.planFrom(in, lambdas), true
 }
 

@@ -65,9 +65,6 @@ type Options struct {
 	Scope dcmodel.ModelScope
 	// PriceView selects the optimizer's price model.
 	PriceView PriceView
-	// Epsilon is the cost tie-break weight in the throughput-maximization
-	// objective; 0 → 1e-4 (small enough to never trade throughput for cost).
-	Epsilon float64
 	// CapPenaltyUSDPerMWh is what the supplier charges for every MWh drawn
 	// above the site's power cap Ps (paper §I: suppliers "penalize those
 	// price makers heavily if this cap is exceeded"). 0 → 250 $/MWh, an
@@ -108,18 +105,15 @@ func (s *System) solveOptions() milp.Options {
 	return milp.Options{Deadline: s.opts.SolveDeadline}
 }
 
+// epsilon is the cost tie-break weight in the throughput-maximization
+// objective: small enough to never trade throughput for cost.
+const epsilon = 1e-4
+
 func (o Options) capPenalty() float64 {
 	if o.CapPenaltyUSDPerMWh == 0 {
 		return 250
 	}
 	return o.CapPenaltyUSDPerMWh
-}
-
-func (o Options) epsilon() float64 {
-	if o.Epsilon == 0 {
-		return 1e-4
-	}
-	return o.Epsilon
 }
 
 // siteModel caches the per-site derived quantities the MILP builders need.
@@ -360,6 +354,17 @@ func (s *System) settlementUSD(in HourInput) float64 {
 		total += (da - in.RTPriceUSDPerMWh[i]) * c
 	}
 	return total
+}
+
+// dispatchBudgetUSD is what the hour's budget leaves for the controllable
+// spend once the sunk two-settlement position is paid; an uncapped (+Inf)
+// budget stays uncapped. Segment and MILP costs already include the
+// demand-charge increments, so this is the whole limit on them.
+func (s *System) dispatchBudgetUSD(in HourInput) float64 {
+	if math.IsInf(in.BudgetUSD, 1) {
+		return in.BudgetUSD
+	}
+	return math.Max(0, in.BudgetUSD-s.settlementUSD(in))
 }
 
 // ScaleLoad returns a copy of the input with TotalLambda and PremiumLambda

@@ -6,10 +6,11 @@
 // the site's reachable segments. A projected-subgradient loop with
 // Polyak-style step sizing drives the two multipliers toward the dual
 // optimum; every iterate doubles as a primal seed for a greedy restoration
-// pass (internal/fallback's dispatch shape) followed by an LP polish on the
-// sparse revised-simplex core. The result carries both the best feasible
-// primal and the best dual bound, so callers see a proven primal–dual gap
-// instead of an unquantified heuristic.
+// pass followed by an LP polish on the sparse revised-simplex core. The
+// result carries both the best feasible primal and the best dual bound, so
+// callers see a proven primal–dual gap instead of an unquantified heuristic.
+// Greedy exposes the restoration fill alone: the controller's solver-free
+// answer when the exact solve fails.
 //
 // The exact MILP stays the oracle at small N (internal/core routes to this
 // package only above Options.DecomposeThreshold); at N in the hundreds the

@@ -32,10 +32,9 @@ func (c candidate) betterThan(o candidate, maxSense bool) bool {
 
 // recoverer turns dual iterates into feasible primal plans: trim coupling
 // violations worst-unit-cost first, fill remaining headroom cheapest-chunk
-// first (the shape of internal/fallback's dispatcher: all-or-nothing segment
-// entries, partial within-segment extensions), then polish the continuous
-// loads with a tiny LP on the chosen segments. One recoverer serves one
-// Solve.
+// first (all-or-nothing segment entries, partial within-segment extensions),
+// then polish the continuous loads with a tiny LP on the chosen segments.
+// One recoverer serves one Solve, or one Greedy without the polish.
 type recoverer struct {
 	inst *Instance
 	// expired, when non-nil, reports that the solve's deadline or Cancel has
@@ -282,10 +281,9 @@ type move struct {
 	fromCost float64
 }
 
-// nextMove computes site i's next chunk from state c, mirroring
-// fallback.Dispatch: extend to the top of the current segment, else jump to
-// the next reachable segment (entry paid in full, extension to its top
-// amortized into the chunk's unit cost).
+// nextMove computes site i's next chunk from state c: extend to the top of
+// the current segment, else jump to the next reachable segment (entry paid
+// in full, extension to its top amortized into the chunk's unit cost).
 func (r *recoverer) nextMove(i int, c sel) (move, bool) {
 	s := &r.inst.Sites[i]
 	var fromCost float64
@@ -455,6 +453,30 @@ func (r *recoverer) fill(st []sel) {
 			r.giveBack(st, &load, &cost, load-inst.TargetLoad, m.site)
 		}
 	}
+}
+
+// Greedy plans an hour without solving anything: from the minimal state it
+// fills premium load cheapest chunk first with no budget limit, then keeps
+// filling up to total load (≥ premium) while the summed segment cost stays
+// within budgetUSD (+Inf = no budget). It is the restoration fill of Solve
+// with no subgradient loop and no polish LP, so it prices exactly what the
+// segments price. It never fails: the plan may serve less than asked when
+// capacity, the budget or segment entry floors stop the fill. It returns
+// each site's load, 0 for a site left off.
+func Greedy(sites []Site, premium, total, budgetUSD float64) []float64 {
+	inst := Instance{Sites: sites, Sense: MaxLoadWithinBudget, TargetLoad: premium, BudgetUSD: math.Inf(1)}
+	r := &recoverer{inst: &inst}
+	st := r.minimalState()
+	r.fill(st)
+	inst.TargetLoad, inst.BudgetUSD = total, budgetUSD
+	r.fill(st)
+	loads := make([]float64, len(st))
+	for i, c := range st {
+		if c.seg >= 0 {
+			loads[i] = c.load
+		}
+	}
+	return loads
 }
 
 // giveBack sheds `over` units of load from within-segment room on sites

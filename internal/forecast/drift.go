@@ -9,8 +9,8 @@ import (
 // DriftDetector is the data plane's intra-hour tripwire: it compares the
 // arrivals a routing tier actually observes against the prediction the
 // current allocation was solved for, and trips once the observation exceeds
-// Ratio times the prediction. The capper solves once per hour from a
-// forecast (HourOfWeek or EWMA); when real traffic runs well past that
+// Ratio times the prediction. The capper solves once per hour from an
+// hour-of-week forecast; when real traffic runs well past that
 // forecast mid-hour, the hourly plan is stale and an asynchronous re-solve
 // is warranted — the detector is the cheap, lock-free test on the request
 // path that says so.

@@ -2,9 +2,8 @@
 // budgeter keeps "a history of the request arrival rate seen during each
 // hour of the week over the past several weeks" (two weeks suffice for the
 // Wikipedia trace, §VI-B) and uses the per-hour-of-week means as weights for
-// splitting the monthly budget. An EWMA predictor and a deterministic
-// error-injection wrapper support the robustness experiments the paper
-// defers to future work (§IX).
+// splitting the monthly budget. A deterministic error-injection wrapper
+// supports the robustness experiments the paper defers to future work (§IX).
 package forecast
 
 import (
@@ -55,89 +54,6 @@ func (f *HourOfWeek) PredictSeries(n int) timeseries.Series {
 	}
 	return out
 }
-
-// HourOfWeekState is the predictor's durable state: the 168 per-hour-of-week
-// means. It round-trips through JSON for the crash-safe checkpoint layer.
-type HourOfWeekState struct {
-	MeansPerHour []float64 `json:"meansPerHour"`
-}
-
-// Snapshot captures the fitted means.
-func (f *HourOfWeek) Snapshot() HourOfWeekState {
-	return HourOfWeekState{MeansPerHour: append([]float64(nil), f.means[:]...)}
-}
-
-// RestoreHourOfWeek rebuilds a predictor from a snapshot, validating shape
-// and finiteness: a corrupt checkpoint must fail loudly, not skew a month of
-// budget shares.
-func RestoreHourOfWeek(st HourOfWeekState) (*HourOfWeek, error) {
-	if len(st.MeansPerHour) != HoursPerWeek {
-		return nil, fmt.Errorf("forecast: restore: %d hour-of-week means, want %d", len(st.MeansPerHour), HoursPerWeek)
-	}
-	f := &HourOfWeek{}
-	for b, v := range st.MeansPerHour {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil, fmt.Errorf("forecast: restore: bad mean %v at bucket %d", v, b)
-		}
-		f.means[b] = v
-	}
-	return f, nil
-}
-
-// EWMAState is the smoother's durable state.
-type EWMAState struct {
-	Alpha float64 `json:"alpha"`
-	Value float64 `json:"value"`
-	Seen  bool    `json:"seen"`
-}
-
-// Snapshot captures the smoother.
-func (e *EWMA) Snapshot() EWMAState {
-	return EWMAState{Alpha: e.Alpha, Value: e.value, Seen: e.seen}
-}
-
-// RestoreEWMA rebuilds a smoother from a snapshot. An out-of-range Alpha is
-// normalized exactly as Observe would, so a restored smoother behaves like
-// one that never crashed.
-func RestoreEWMA(st EWMAState) (*EWMA, error) {
-	if math.IsNaN(st.Value) || math.IsInf(st.Value, 0) {
-		return nil, fmt.Errorf("forecast: restore: bad EWMA value %v", st.Value)
-	}
-	e := &EWMA{Alpha: st.Alpha, value: st.Value, seen: st.Seen}
-	if !(e.Alpha > 0 && e.Alpha <= 1) { // also catches NaN
-		e.Alpha = DefaultAlpha
-	}
-	return e, nil
-}
-
-// EWMA is an exponentially weighted moving average predictor.
-type EWMA struct {
-	Alpha float64 // smoothing factor in (0, 1]; out-of-range values are normalized to DefaultAlpha on first use
-	value float64
-	seen  bool
-}
-
-// DefaultAlpha replaces an out-of-range or non-finite EWMA.Alpha.
-const DefaultAlpha = 0.2
-
-// Observe feeds one observation. An Alpha outside (0, 1] (including NaN) is
-// normalized to DefaultAlpha before any observation is applied, so the
-// smoothing factor in effect never depends on which observation arrived
-// first.
-func (e *EWMA) Observe(v float64) {
-	if !(e.Alpha > 0 && e.Alpha <= 1) { // also catches NaN
-		e.Alpha = DefaultAlpha
-	}
-	if !e.seen {
-		e.value = v
-		e.seen = true
-		return
-	}
-	e.value = e.Alpha*v + (1-e.Alpha)*e.value
-}
-
-// Predict returns the current estimate (0 before any observation).
-func (e *EWMA) Predict() float64 { return e.value }
 
 // WithError returns a copy of the predictions with deterministic mean-one
 // lognormal error of the given relative magnitude applied, for studying how

@@ -73,51 +73,6 @@ func TestPredictNegativeHour(t *testing.T) {
 	}
 }
 
-func TestEWMAAlphaNormalizedOnFirstObservation(t *testing.T) {
-	// The invalid-Alpha default must apply from the very first observation,
-	// not only on the second-and-later path: after one Observe the field
-	// itself holds the normalized value.
-	for _, bad := range []float64{-1, 0, 7, math.NaN()} {
-		e := EWMA{Alpha: bad}
-		e.Observe(10)
-		if e.Alpha != DefaultAlpha {
-			t.Errorf("Alpha %v not normalized on first observation: got %v, want %v", bad, e.Alpha, DefaultAlpha)
-		}
-		e.Observe(0)
-		if got := e.Predict(); math.Abs(got-8) > 1e-12 {
-			t.Errorf("Alpha %v: prediction after {10, 0} = %v, want 8", bad, got)
-		}
-	}
-	// A valid Alpha is left alone.
-	e := EWMA{Alpha: 0.5}
-	e.Observe(10)
-	if e.Alpha != 0.5 {
-		t.Errorf("valid Alpha rewritten to %v", e.Alpha)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if e.Predict() != 0 {
-		t.Errorf("initial prediction = %v", e.Predict())
-	}
-	e.Observe(10)
-	if e.Predict() != 10 {
-		t.Errorf("first observation = %v, want 10", e.Predict())
-	}
-	e.Observe(20)
-	if e.Predict() != 15 {
-		t.Errorf("after 20 = %v, want 15", e.Predict())
-	}
-	// Out-of-range alpha falls back to 0.2.
-	bad := EWMA{Alpha: 7}
-	bad.Observe(10)
-	bad.Observe(20)
-	if got := bad.Predict(); math.Abs(got-12) > 1e-12 {
-		t.Errorf("fallback alpha prediction = %v, want 12", got)
-	}
-}
-
 func TestWithError(t *testing.T) {
 	pred := timeseries.Series{100, 100, 100, 100}
 	same := WithError(pred, 0, 1)

@@ -95,8 +95,6 @@ type Config struct {
 	// instead of starting the month over. One directory serves one run at a
 	// time; do not share it across RunAll strategies.
 	StateDir string
-	// SnapshotEveryHours is the snapshot cadence within StateDir (0 → 24).
-	SnapshotEveryHours int
 	// HaltAfterHours, when > 0, simulates a SIGKILL: the run stops with
 	// ErrHalted once the hour with this absolute index has been durably
 	// recorded, leaving StateDir exactly as a dead process would.
@@ -290,7 +288,6 @@ func Run(cfg Config, decider Decider) (Result, error) {
 
 	capped := !math.IsInf(cfg.MonthlyBudgetUSD, 1)
 	var budgeter *budget.Budgeter
-	var fcState *forecast.HourOfWeekState
 	var store *state.Store
 	var rinfo *state.RestoreInfo
 	startHour := 0
@@ -338,7 +335,6 @@ func Run(cfg Config, decider Decider) (Result, error) {
 					}
 				}
 			}
-			fcState = cp.Forecast
 		}
 	}
 
@@ -355,8 +351,6 @@ func Run(cfg Config, decider Decider) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		hws := hw.Snapshot()
-		fcState = &hws
 	}
 	if capped && cfg.Metrics != nil {
 		budgeter.SetMetrics(budget.NewMetrics(cfg.Metrics))
@@ -515,8 +509,8 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			if err := store.Append(e); err != nil {
 				return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
 			}
-			if (h+1)%cfg.snapshotEvery() == 0 {
-				cp := state.Checkpoint{Hour: h + 1, Forecast: fcState, Resilient: e.Resilient,
+			if (h+1)%state.CheckpointEvery == 0 {
+				cp := state.Checkpoint{Hour: h + 1, Resilient: e.Resilient,
 					Peaks: e.Peaks, BatterySoCMWh: e.BatterySoCMWh}
 				if capped {
 					bs := budgeter.Snapshot()
@@ -540,13 +534,6 @@ func Run(cfg Config, decider Decider) (Result, error) {
 // degradation ladder for checkpointing (ResilientCapping implements it).
 type ladderer interface {
 	Ladder() *core.Resilient
-}
-
-func (c Config) snapshotEvery() int {
-	if c.SnapshotEveryHours <= 0 {
-		return 24
-	}
-	return c.SnapshotEveryHours
 }
 
 // finishResult attaches the final ledger snapshots to a run's result.

@@ -23,7 +23,6 @@ import (
 
 	"billcap/internal/budget"
 	"billcap/internal/core"
-	"billcap/internal/forecast"
 	"billcap/internal/pricing"
 )
 
@@ -38,18 +37,22 @@ const (
 	snapKeep = 2
 )
 
+// CheckpointEvery is the checkpoint cadence every caller keeps: a snapshot
+// after each CheckpointEvery WAL appends. Between snapshots the WAL alone
+// carries the state.
+const CheckpointEvery = 24
+
 // Checkpoint is the full durable state of one controller: the budget ledger,
-// the degradation-ladder state, and the forecast state. Every field is
-// optional — capperd, which receives its budget per-request, persists only
-// the ladder, while the sim harness persists all of it.
+// the degradation-ladder state and the tariff position. Every field is
+// optional — capperd, which receives its budget per-request, persists no
+// ledger, while the sim harness persists all of it. The ledger's shares
+// already carry the forecast the budget was split by.
 type Checkpoint struct {
 	// Hour is the number of hours fully recorded when the checkpoint was
 	// taken; WAL entries with Hour >= this replay on top.
-	Hour      int                       `json:"hour"`
-	Budget    *budget.State             `json:"budget,omitempty"`
-	Resilient *core.ResilientState      `json:"resilient,omitempty"`
-	Forecast  *forecast.HourOfWeekState `json:"forecast,omitempty"`
-	EWMA      *forecast.EWMAState       `json:"ewma,omitempty"`
+	Hour      int                  `json:"hour"`
+	Budget    *budget.State        `json:"budget,omitempty"`
+	Resilient *core.ResilientState `json:"resilient,omitempty"`
 	// Peaks is the demand-charge ledger: each site's billing-period peak
 	// metered draw so far. Losing it across a restart would let the
 	// controller re-pay demand charges the month already incurred (or worse,
@@ -66,7 +69,6 @@ type Entry struct {
 	Hour      int                  `json:"hour"`
 	SpentUSD  float64              `json:"spentUSD"`
 	Resilient *core.ResilientState `json:"resilient,omitempty"`
-	EWMA      *forecast.EWMAState  `json:"ewma,omitempty"`
 	// Peaks and BatterySoCMWh mirror the checkpoint fields at per-hour
 	// granularity: the full post-hour tariff state, not a delta, so replaying
 	// the last entry is byte-identical to never having crashed.
@@ -426,9 +428,6 @@ func Replay(cp *Checkpoint, entries []Entry) (*Checkpoint, int, error) {
 		}
 		if e.Resilient != nil {
 			out.Resilient = e.Resilient
-		}
-		if e.EWMA != nil {
-			out.EWMA = e.EWMA
 		}
 		if e.Peaks != nil {
 			out.Peaks = e.Peaks

@@ -1,6 +1,8 @@
 package state
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -324,5 +326,49 @@ func TestReplaySkipsSupersededEntries(t *testing.T) {
 	}
 	if replayed != 0 || cp.Budget.SpentUSD != 3 {
 		t.Fatalf("superseded entry not skipped: replayed=%d ledger=%+v", replayed, cp.Budget)
+	}
+}
+
+// TestOpenIgnoresRetiredForecastKeys: a checkpoint and a WAL entry written
+// while the state still carried the hour-of-week means ("forecast") and an
+// EWMA smoother ("ewma") restore as before, those keys ignored.
+func TestOpenIgnoresRetiredForecastKeys(t *testing.T) {
+	dir := t.TempDir()
+	bst := newLedger(t, 4).Snapshot()
+	raw, err := json.Marshal(Checkpoint{Hour: 1, Budget: &bst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	ewma := map[string]any{"alpha": 0.2, "value": 5e11, "seen": true}
+	snap["forecast"] = map[string]any{"meansPerHour": make([]float64, 168)}
+	snap["ewma"] = ewma
+	entry := map[string]any{"hour": 1, "spentUSD": 7, "ewma": ewma}
+	for name, v := range map[string]any{
+		fmt.Sprintf("%s%08d%s", snapPrefix, 1, snapSuffix): snap,
+		walName: entry,
+	} {
+		line, err := seal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), append(line, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, cp, info, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if cp == nil || cp.Hour != 2 || info.WALEntriesReplayed != 1 || info.SnapshotFallbacks != 0 {
+		t.Fatalf("restored cp=%+v info=%+v, want hour 2 from the snapshot plus one entry", cp, info)
+	}
+	if cp.Budget == nil || cp.Budget.SpentUSD != 7 {
+		t.Fatalf("restored ledger %+v, want the entry's 7 $ spent", cp.Budget)
 	}
 }
