@@ -9,13 +9,16 @@
 // Endpoints: GET /healthz, GET /readyz, GET /metrics, GET /debug/pprof/,
 // GET /v1/sites, GET /v1/policies, POST /v1/decide, POST /v1/decide/batch,
 // POST /v1/realize, POST /v1/model, POST /v1/route, POST /v1/route/batch,
-// GET /v1/route/table, and with -tariff, GET /v1/tariff.
+// GET /v1/route/table, and with -demand-charge or -battery, GET /v1/tariff.
 // Example:
 //
 //	curl -s localhost:8080/v1/decide -d '{
 //	  "totalLambda": 1.5e12, "premiumLambda": 1.2e12,
 //	  "demandMW": [170, 190, 150], "budgetUSD": 900
 //	}'
+//
+// With -demand-charge, -battery or -state-dir, decides that commit or are
+// journaled run one at a time, each planned from what the last one left.
 //
 // The daemon exports Prometheus metrics on /metrics, runtime profiling on
 // /debug/pprof/, and on SIGINT/SIGTERM flips /readyz to 503 and drains
@@ -87,15 +90,13 @@ func main() {
 	decomposeThreshold := flag.Int("decompose-threshold", 0,
 		"fleet size above which -decompose leaves the exact MILP (0 = 20)")
 	stateDir := flag.String("state-dir", "",
-		"directory for crash-safe state (WAL + snapshots): resilient decisions are durably logged and a restart restores the degradation ladder instead of zeroing it (empty = stateless)")
+		"directory for crash-safe state (WAL + snapshots): committed decisions are durably logged and a restart restores the degradation ladder and tariff position instead of zeroing them (empty = stateless)")
 	driftRatio := flag.Float64("drift-ratio", 2.0,
 		"observed/predicted arrival ratio beyond which the data plane re-solves asynchronously and swaps the routing table (must be > 1; 0 disables drift re-solves)")
-	tariff := flag.Bool("tariff", false,
-		"enable the tariff engine: the server holds the billing-period peak ledger and battery bank, serves GET /v1/tariff, and every non-override decision commits against them")
 	demandCharge := flag.Float64("demand-charge", 0,
-		"billing-period demand charge in $/MW-month, billed on each site's peak metered draw (implies -tariff)")
+		"billing-period demand charge in $/MW-month, billed on each site's peak metered draw (> 0 enables the tariff engine)")
 	batterySpec := flag.String("battery", "",
-		"per-site battery as capMWh:maxMW:eff[:socMWh[:valueUSDPerMWh]], e.g. 40:15:0.9 — the same spec at every site (implies -tariff)")
+		"per-site battery as capMWh:maxMW:eff[:socMWh[:valueUSDPerMWh]], e.g. 40:15:0.9 — the same spec at every site (enables the tariff engine)")
 	flag.Parse()
 
 	if *variant < 0 || *variant > 3 {
@@ -123,7 +124,7 @@ func main() {
 	if err := srv.SetDriftRatio(*driftRatio); err != nil {
 		log.Fatalf("capperd: %v", err)
 	}
-	if *tariff || *demandCharge > 0 || *batterySpec != "" {
+	if *demandCharge > 0 || *batterySpec != "" {
 		var specs []core.BatterySpec
 		if *batterySpec != "" {
 			spec, err := parseBattery(*batterySpec)

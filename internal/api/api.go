@@ -34,13 +34,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"billcap/internal/controller"
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
 	"billcap/internal/obs"
 	"billcap/internal/pricing"
+	"billcap/internal/state"
 )
 
 // maxBodyBytes caps POST request bodies; the control payloads are a few
@@ -66,12 +69,18 @@ type Server struct {
 	// immutable routing snapshot that /v1/route and /v1/route/batch serve
 	// without locks or solving (see route.go).
 	route *RoutePlane
-	// state, when non-nil (see EnableState), persists every resilient
-	// decision so a restart resumes the ladder instead of zeroing it.
-	state *stateLayer
-	// tariff, when non-nil (see EnableTariff), bills beyond plain energy
-	// charges: demand-charge peak ledger and per-site batteries.
-	tariff *tariffState
+	// pos, when non-nil (see EnableTariff), bills beyond plain energy
+	// charges: the demand-charge peak ledger and per-site batteries.
+	pos                 *controller.Position
+	peakGauge, socGauge *obs.GaugeVec
+	// journal, when non-nil (see EnableState), durably records every
+	// committed or resilient decide, so a restart resumes ladder and position.
+	journal       *controller.Journal
+	restoreInfo   state.RestoreInfo
+	persistErrors *obs.Counter
+	// hourMu runs the decides that commit or are journaled one at a time,
+	// each planned from what the previous one committed.
+	hourMu sync.Mutex
 
 	draining       atomic.Bool
 	consecDegraded atomic.Int64
@@ -248,8 +257,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // operator checking /readyz after a restart sees whether the ladder resumed
 // and whether any corruption was truncated on the way.
 func (s *Server) addRestoreStatus(body map[string]any) {
-	if s.state != nil {
-		body["restore"] = s.state.info
+	if s.journal != nil {
+		body["restore"] = s.restoreInfo
 	}
 }
 
@@ -328,9 +337,10 @@ type DecideRequest struct {
 	Hour int `json:"hour,omitempty"`
 	// Down marks sites unavailable this hour (site order as /v1/sites).
 	Down []bool `json:"down,omitempty"`
-	// TimeoutMS bounds the decision's wall-clock budget; a solve that
-	// expires answers with its best incumbent (degraded "time-limit")
-	// rather than holding the request. 0 → the server's solver options.
+	// TimeoutMS bounds the decision's wall-clock budget, counted from
+	// before any wait for the server's hour lock; a solve that expires
+	// answers with its best incumbent (degraded "time-limit") rather than
+	// holding the request. 0 → the server's solver options.
 	TimeoutMS float64 `json:"timeoutMS,omitempty"`
 	// Resilient routes the request through the degradation ladder: the
 	// answer may be degraded (see "degraded" in the response) but solver
@@ -338,11 +348,11 @@ type DecideRequest struct {
 	Resilient bool `json:"resilient,omitempty"`
 
 	// Tariff overrides (all optional). When the server runs with the tariff
-	// engine enabled (-tariff and friends), omitted fields are filled from
-	// its live position — the demand-charge rate, the peak-so-far ledger and
-	// the battery bank — and the decision commits back into that position.
-	// Supplying PeakMW or Batteries explicitly makes the request what-if:
-	// the answer reflects them but nothing is committed.
+	// engine enabled (-demand-charge, -battery), omitted fields are filled
+	// from its live position — the demand-charge rate, the peak-so-far
+	// ledger and the battery bank. Supplying PeakMW or Batteries explicitly
+	// makes the request what-if: the answer reflects them but the position
+	// does not move. Any other request is committed.
 	DemandChargeUSDPerMW float64            `json:"demandChargeUSDPerMW,omitempty"`
 	PeakMW               []float64          `json:"peakMW,omitempty"`
 	RTPriceUSDPerMWh     []float64          `json:"rtPriceUSDPerMWh,omitempty"`
@@ -430,7 +440,9 @@ func (s *Server) hourInputFrom(req DecideRequest) core.HourInput {
 	if req.BudgetUSD != nil {
 		in.BudgetUSD = *req.BudgetUSD
 	}
-	s.attachTariff(&in, req)
+	if s.pos != nil {
+		s.pos.Attach(&in)
+	}
 	return in
 }
 
@@ -496,18 +508,41 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	in := s.hourInputFrom(req)
-	// A malformed request is the client's bug even on the resilient path;
-	// the ladder's input patching is for feed dropouts, not API misuse.
-	if err := s.sys.ValidateInput(in); err != nil {
+	dec, err := s.decide(r.Context(), req)
+	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	ctx := r.Context()
+	writeJSON(w, http.StatusOK, s.decideResponseFrom(dec))
+}
+
+// decide answers one /v1/decide: attach the position, decide, install the
+// routing table, commit and journal. A request posing its own peakMW or
+// batteries against a tariff position is a what-if; any other commits the
+// position, each site metering the IT draw the answer planned. The journal
+// records every decide but a non-resilient what-if (a resilient one moved
+// the ladder). An hour that commits or records holds s.hourMu throughout,
+// TimeoutMS counted from before the wait. A failed record is counted in
+// billcap_state_persist_errors_total, not surfaced: the answer is still
+// served, and a restart resumes from the last durable hour.
+func (s *Server) decide(ctx context.Context, req DecideRequest) (core.Decision, error) {
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS*float64(time.Millisecond)))
 		defer cancel()
+	}
+	whatIf := s.pos != nil && (req.PeakMW != nil || req.Batteries != nil)
+	commit := s.pos != nil && !whatIf
+	record := s.journal != nil && (!whatIf || req.Resilient)
+	if commit || record {
+		s.hourMu.Lock()
+		defer s.hourMu.Unlock()
+	}
+	in := s.hourInputFrom(req)
+	// A malformed request is the client's bug even on the resilient path;
+	// the ladder's input patching is for feed dropouts, not API misuse.
+	if err := s.sys.ValidateInput(in); err != nil {
+		return core.Decision{}, err
 	}
 	var dec core.Decision
 	if req.Resilient {
@@ -515,23 +550,25 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.noteRung(dec.Degraded)
 	} else {
 		var err error
-		dec, err = s.sys.DecideHourCtx(ctx, in)
-		if err != nil {
-			writeErr(w, statusFor(err), err)
-			return
+		if dec, err = s.sys.DecideHourCtx(ctx, in); err != nil {
+			return dec, err
 		}
 	}
 	// Every decision refreshes the data plane (a shed decision with nothing
 	// to route leaves the previous table live).
 	s.route.Install(in, dec)
-	// A served (non-override) decision is what the sites will do this hour:
-	// move the stored energy and ratchet the demand-charge ledger. Commit
-	// before persisting so the WAL entry carries the post-hour position.
-	s.commitTariff(req, in, dec)
-	if req.Resilient {
-		s.persistDecision(in.Hour)
+	if commit {
+		it := make([]float64, len(dec.Sites))
+		for i, a := range dec.Sites {
+			it[i] = a.PowerMW
+		}
+		s.pos.Commit(dec, in, it)
+		s.publishTariff()
 	}
-	writeJSON(w, http.StatusOK, s.decideResponseFrom(dec))
+	if record && s.journal.Record(in.Hour, 0, nil) != nil {
+		s.persistErrors.Inc()
+	}
+	return dec, nil
 }
 
 // handleModel dumps the hour's Step-1 MILP in lp_solve-style text, for

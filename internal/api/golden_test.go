@@ -1,0 +1,185 @@
+package api
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"hash/fnv"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"billcap/internal/core"
+	"billcap/internal/dcmodel"
+	"billcap/internal/pricing"
+	"billcap/internal/state"
+)
+
+// serve runs one request through the handler in-process.
+func serve(h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
+	var buf []byte
+	if body != nil {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
+			panic(err) // request types always marshal
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(buf)))
+	return rec
+}
+
+// serveBytes is serve that fails the test on a non-200 and returns the body.
+func serveBytes(t *testing.T, h http.Handler, method, path string, body any) []byte {
+	t.Helper()
+	rec := serve(h, method, path, body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.Bytes())
+	}
+	return rec.Body.Bytes()
+}
+
+// sealedLines reads a state file's CRC-framed records and returns each
+// record's payload.
+func sealedLines(t *testing.T, path string) [][]byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out [][]byte
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	for sc.Scan() {
+		var r struct {
+			V json.RawMessage `json:"v"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r.V)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// zeroWallTime clears the one timing field durable ladder state carries.
+func zeroWallTime(ls *core.ResilientState) {
+	if ls != nil && ls.LastGood != nil {
+		ls.LastGood.Solver.WallTime = 0
+	}
+}
+
+// TestDaemonGolden pins the daemon's committed hour bit for bit: 72 seeded
+// resilient hours (some capped, some with a site down) on a server with a
+// demand charge, batteries and a state directory. The digest covers every
+// answer without its solverWallMS, GET /v1/tariff after each hour, and what
+// the directory holds at the end: the WAL entries and the newest
+// checkpoint, solver wall times zeroed. It was recorded before the daemon's
+// hour ran through internal/controller, so it shows the shared controller
+// changed no answer, no position and no durable byte.
+func TestDaemonGolden(t *testing.T) {
+	const want = uint64(0x5316b75e1a105c1b)
+	dir := t.TempDir()
+	s, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableTariff(1500, tariffSpecs(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.EnableState(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseState()
+	h := s.Handler()
+
+	digest := fnv.New64a()
+	rng := rand.New(rand.NewSource(18))
+	steps := map[string]int{}
+	for hour := 0; hour < 72; hour++ {
+		total := 0.8e12 + 1.2e12*rng.Float64()
+		req := DecideRequest{
+			TotalLambda:   total,
+			PremiumLambda: 0.8 * total,
+			DemandMW:      []float64{120 + 280*rng.Float64(), 120 + 280*rng.Float64(), 120 + 280*rng.Float64()},
+			Hour:          hour,
+			Resilient:     true,
+		}
+		if rng.Float64() < 0.5 {
+			b := 300 + 1200*rng.Float64()
+			req.BudgetUSD = &b
+		}
+		if rng.Float64() < 0.1 {
+			req.Down = make([]bool, 3)
+			req.Down[rng.Intn(3)] = true
+		}
+		var answer map[string]any
+		if err := json.Unmarshal(serveBytes(t, h, http.MethodPost, "/v1/decide", req), &answer); err != nil {
+			t.Fatal(err)
+		}
+		if answer["degraded"] != nil {
+			t.Fatalf("hour %d degraded to %v", hour, answer["degraded"])
+		}
+		steps[answer["step"].(string)]++
+		delete(answer, "solverWallMS")
+		body, err := json.Marshal(answer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest.Write(body)
+		digest.Write(serveBytes(t, h, http.MethodGet, "/v1/tariff", nil))
+	}
+
+	for _, line := range sealedLines(t, filepath.Join(dir, "wal.log")) {
+		var e state.Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		zeroWallTime(e.Resilient)
+		body, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest.Write(body)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []string
+	for _, de := range des {
+		if strings.HasPrefix(de.Name(), "snap-") && strings.HasSuffix(de.Name(), ".json") {
+			snaps = append(snaps, de.Name())
+		}
+	}
+	sort.Strings(snaps)
+	if len(snaps) == 0 {
+		t.Fatal("no checkpoint after 72 hours")
+	}
+	newest := snaps[len(snaps)-1]
+	digest.Write([]byte(newest))
+	var cp state.Checkpoint
+	if err := json.Unmarshal(sealedLines(t, filepath.Join(dir, newest))[0], &cp); err != nil {
+		t.Fatal(err)
+	}
+	zeroWallTime(cp.Resilient)
+	body, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest.Write(body)
+
+	t.Logf("steps %v, newest checkpoint %s, %d WAL entries", steps, newest, len(sealedLines(t, filepath.Join(dir, "wal.log"))))
+	if got := digest.Sum64(); got != want {
+		t.Errorf("daemon digest %#x, want %#x", got, want)
+	}
+}

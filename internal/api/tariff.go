@@ -3,189 +3,49 @@ package api
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"sync"
 
-	"billcap/internal/battery"
+	"billcap/internal/controller"
 	"billcap/internal/core"
-	"billcap/internal/obs"
-	"billcap/internal/pricing"
 )
-
-// tariffState is the server's billing-period tariff position: the demand
-// charge rate, the peak-so-far ledger it ratchets against, and the physical
-// batteries whose state of charge the MILP plans around. One mutex serializes
-// attach (read) and commit (mutate): concurrent /v1/decide requests may solve
-// in parallel, but ledger observation and battery actions apply in arrival
-// order. Only POST /v1/decide commits; /v1/decide/batch is what-if analysis
-// and never mutates the position.
-type tariffState struct {
-	mu     sync.Mutex
-	rate   float64 // demand charge, $/MW-month
-	ledger *pricing.PeakLedger
-	bats   []*battery.Battery
-	specs  []core.BatterySpec
-
-	peakGauge *obs.GaugeVec
-	socGauge  *obs.GaugeVec
-}
 
 // EnableTariff switches the server's billing model beyond plain energy
 // charges: a demand charge at the given $/MW-month rate (0 disables that
 // component) and optional per-site batteries (nil, or one spec per site; a
-// zero-capacity spec means no battery at that site). Call before EnableState
-// so a restart restores the peak ledger and battery charge into the enabled
-// tariff.
+// zero-capacity spec means no battery at that site). Call it before
+// EnableState, which restores the position; called after, it is an error.
 func (s *Server) EnableTariff(demandChargeUSDPerMWMonth float64, batteries []core.BatterySpec) error {
-	if math.IsNaN(demandChargeUSDPerMWMonth) || math.IsInf(demandChargeUSDPerMWMonth, 0) || demandChargeUSDPerMWMonth < 0 {
-		return fmt.Errorf("api: demand charge %v $/MW-month", demandChargeUSDPerMWMonth)
+	if s.journal != nil {
+		return errors.New("api: EnableTariff after EnableState: the state directory's position would not be restored")
 	}
-	if len(batteries) != 0 && len(batteries) != len(s.sites) {
-		return fmt.Errorf("api: %d battery specs for %d sites", len(batteries), len(s.sites))
+	pos, err := controller.NewPosition(demandChargeUSDPerMWMonth, s.policies, batteries)
+	if err != nil {
+		return fmt.Errorf("api: %w", err)
 	}
-	t := &tariffState{
-		rate:   demandChargeUSDPerMWMonth,
-		ledger: pricing.NewPeakLedger(len(s.sites)),
-		peakGauge: s.reg.GaugeVec("billcap_tariff_peak_mw",
-			"Billing-period peak metered draw per site (the demand-charge ledger).", "site"),
-		socGauge: s.reg.GaugeVec("billcap_tariff_battery_soc_mwh",
-			"Battery state of charge per site.", "site"),
-	}
+	s.pos = pos
+	s.peakGauge = s.reg.GaugeVec("billcap_tariff_peak_mw",
+		"Billing-period peak metered draw per site (the demand-charge ledger).", "site")
+	s.socGauge = s.reg.GaugeVec("billcap_tariff_battery_soc_mwh",
+		"Battery state of charge per site.", "site")
 	s.reg.Gauge("billcap_tariff_demand_charge_usd_per_mw_month",
 		"Configured demand charge rate.").Set(demandChargeUSDPerMWMonth)
-	if len(batteries) > 0 {
-		t.bats = make([]*battery.Battery, len(s.sites))
-		t.specs = make([]core.BatterySpec, len(s.sites))
-		for i, spec := range batteries {
-			if spec.CapacityMWh == 0 {
-				continue
-			}
-			b, err := battery.New(spec.CapacityMWh, spec.MaxChargeMW, spec.MaxDischargeMW, spec.Efficiency)
-			if err != nil {
-				return fmt.Errorf("api: site %s battery: %w", s.sites[i].Name, err)
-			}
-			b.SetSoC(spec.SoCMWh)
-			if spec.ValueUSDPerMWh == 0 {
-				spec.ValueUSDPerMWh = s.policies[i].Fn.Mean()
-			}
-			t.bats[i] = b
-			t.specs[i] = spec
-		}
-	}
-	s.tariff = t
 	s.handle("/v1/tariff", s.handleTariff)
 	return nil
 }
 
-// attachTariff fills the hour input's tariff fields from the server's
-// position. Explicit request fields win: an operator replaying a scenario can
-// override the ledger or the battery state for one decision without touching
-// the server's own position.
-func (s *Server) attachTariff(in *core.HourInput, req DecideRequest) {
-	t := s.tariff
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if in.DemandChargeUSDPerMW == 0 {
-		in.DemandChargeUSDPerMW = t.rate
-	}
-	if in.PeakMW == nil && t.rate > 0 {
-		in.PeakMW = t.ledger.Peaks()
-	}
-	if in.Batteries == nil && t.bats != nil {
-		specs := make([]core.BatterySpec, len(t.specs))
-		copy(specs, t.specs)
-		for i, b := range t.bats {
-			if b != nil {
-				specs[i].SoCMWh = b.SoC()
-			}
+// publishTariff sets the tariff gauges from the position: the peaks under
+// a positive demand charge, the charge of every site with a battery.
+func (s *Server) publishTariff() {
+	var pos core.HourInput
+	s.pos.Attach(&pos)
+	for i, dc := range s.sites {
+		if pos.PeakMW != nil {
+			s.peakGauge.With(dc.Name).Set(pos.PeakMW[i])
 		}
-		in.Batteries = specs
-	}
-}
-
-// commitTariff applies a served decision to the billing position: planned
-// battery actions move real stored energy and the ledger ratchets on the
-// metered draw. Skipped when the request overrode the position (what-if).
-func (s *Server) commitTariff(req DecideRequest, in core.HourInput, dec core.Decision) {
-	t := s.tariff
-	if t == nil || req.PeakMW != nil || req.Batteries != nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	grids := make([]float64, len(dec.Sites))
-	for i, a := range dec.Sites {
-		if t.bats != nil && i < len(t.bats) && t.bats[i] != nil {
-			g := t.bats[i].Discharge(math.Min(a.DischargeMW, a.PowerMW))
-			c := t.bats[i].Charge(a.ChargeMW)
-			grids[i] = a.PowerMW + c - g
-			t.socGauge.With(s.sites[i].Name).Set(t.bats[i].SoC())
-		} else {
-			grids[i] = a.GridMW
+		if pos.Batteries != nil && pos.Batteries[i].CapacityMWh > 0 {
+			s.socGauge.With(dc.Name).Set(pos.Batteries[i].SoCMWh)
 		}
 	}
-	if t.rate > 0 {
-		t.ledger.Observe(grids)
-		for i, p := range t.ledger.Peaks() {
-			t.peakGauge.With(s.sites[i].Name).Set(p)
-		}
-	}
-}
-
-// tariffSnapshot captures the position for persistence and /v1/tariff.
-// Returns nils when the tariff engine is disabled.
-func (s *Server) tariffSnapshot() (*pricing.PeakState, []float64) {
-	t := s.tariff
-	if t == nil {
-		return nil, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ps := t.ledger.Snapshot()
-	var socs []float64
-	if t.bats != nil {
-		socs = make([]float64, len(t.bats))
-		for i, b := range t.bats {
-			if b != nil {
-				socs[i] = b.SoC()
-			}
-		}
-	}
-	return &ps, socs
-}
-
-// restoreTariff folds a recovered checkpoint back into the position.
-func (s *Server) restoreTariff(peaks *pricing.PeakState, socMWh []float64) error {
-	t := s.tariff
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if peaks != nil {
-		if err := t.ledger.Restore(*peaks); err != nil {
-			return fmt.Errorf("api: %w", err)
-		}
-		for i, p := range t.ledger.Peaks() {
-			t.peakGauge.With(s.sites[i].Name).Set(p)
-		}
-	}
-	if socMWh != nil && t.bats != nil {
-		if len(socMWh) != len(t.bats) {
-			return fmt.Errorf("api: restored %d battery states for %d sites", len(socMWh), len(t.bats))
-		}
-		for i, b := range t.bats {
-			if b != nil {
-				b.SetSoC(socMWh[i])
-				t.socGauge.With(s.sites[i].Name).Set(b.SoC())
-			}
-		}
-	}
-	return nil
 }
 
 // TariffSite is one site's row in GET /v1/tariff.
@@ -212,19 +72,20 @@ func (s *Server) handleTariff(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	t := s.tariff
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	resp := TariffResponse{DemandChargeUSDPerMWMonth: t.rate}
+	var pos core.HourInput
+	s.pos.Attach(&pos)
+	resp := TariffResponse{DemandChargeUSDPerMWMonth: pos.DemandChargeUSDPerMW}
 	for i, dc := range s.sites {
-		row := TariffSite{Site: dc.Name, PeakMW: t.ledger.Peak(i)}
-		if t.bats != nil && t.bats[i] != nil {
-			row.BatCapacityMWh = t.specs[i].CapacityMWh
-			row.BatSoCMWh = t.bats[i].SoC()
-			row.BatValueUSD = t.specs[i].ValueUSDPerMWh
+		row := TariffSite{Site: dc.Name}
+		if pos.PeakMW != nil {
+			row.PeakMW = pos.PeakMW[i]
+		}
+		if pos.Batteries != nil {
+			b := pos.Batteries[i]
+			row.BatCapacityMWh, row.BatSoCMWh, row.BatValueUSD = b.CapacityMWh, b.SoCMWh, b.ValueUSDPerMWh
 		}
 		resp.Sites = append(resp.Sites, row)
-		resp.DemandChargeSoFarUSD += t.rate * t.ledger.Peak(i)
+		resp.DemandChargeSoFarUSD += resp.DemandChargeUSDPerMWMonth * row.PeakMW
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"billcap/internal/budget"
+	"billcap/internal/controller"
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
 	"billcap/internal/forecast"
@@ -288,33 +289,35 @@ func Run(cfg Config, decider Decider) (Result, error) {
 
 	capped := !math.IsInf(cfg.MonthlyBudgetUSD, 1)
 	var budgeter *budget.Budgeter
-	var store *state.Store
+	var journal *controller.Journal
 	var rinfo *state.RestoreInfo
 	startHour := 0
 
 	var rig *tariffRig
+	var pos *controller.Position
 	if cfg.hasTariff() {
 		rig, err = newTariffRig(cfg)
 		if err != nil {
 			return Result{}, err
 		}
+		pos = rig.pos
 	}
 
 	if cfg.StateDir != "" {
-		st, cp, info, err := state.Open(cfg.StateDir)
-		if err != nil {
-			return Result{}, err
+		var ladder *core.Resilient
+		if lc, ok := decider.(ladderer); ok {
+			ladder = lc.Ladder()
 		}
-		store = st
-		defer store.Close()
+		j, cp, info, err := controller.OpenJournal(cfg.StateDir, ladder, pos)
+		if err != nil {
+			return Result{}, fmt.Errorf("sim: %w", err)
+		}
+		journal = j
+		// A run stops like a killed process: no final checkpoint.
+		defer journal.Release()
 		rinfo = &info
 		if cp != nil {
 			startHour = cp.Hour
-			if rig != nil {
-				if err := rig.restore(cp.Peaks, cp.BatterySoCMWh); err != nil {
-					return Result{}, err
-				}
-			}
 			if capped {
 				if cp.Budget == nil {
 					return Result{}, fmt.Errorf("sim: state dir %q has no budget ledger to resume from", cfg.StateDir)
@@ -326,13 +329,6 @@ func Run(cfg Config, decider Decider) (Result, error) {
 				if budgeter.Horizon() != cfg.Month.Len() {
 					return Result{}, fmt.Errorf("sim: restored ledger spans %d hours, month has %d",
 						budgeter.Horizon(), cfg.Month.Len())
-				}
-			}
-			if cp.Resilient != nil {
-				if lc, ok := decider.(ladderer); ok {
-					if err := lc.Ladder().Restore(*cp.Resilient); err != nil {
-						return Result{}, fmt.Errorf("sim: %w", err)
-					}
 				}
 			}
 		}
@@ -385,7 +381,7 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			Down:          cfg.Faults.down(h, len(cfg.DCs)),
 		}
 		if rig != nil {
-			rig.attach(&in, cfg)
+			rig.attach(&in)
 		}
 		dec, err := decider.Decide(in)
 		if err != nil {
@@ -430,22 +426,23 @@ func Run(cfg Config, decider Decider) (Result, error) {
 		}
 		if rig != nil {
 			// The market bills the metered grid draw, not the IT draw:
-			// execute the planned battery actions against the physical
-			// batteries, then run the composed tariff (energy + demand
+			// commit the planned battery actions against the realized IT
+			// draw, then run the composed tariff (energy + demand
 			// increment + settlement) over the resulting meter readings.
 			// Cap penalties re-derive on the same meter readings — charging
 			// above the supplier cap is penalized like any other draw.
-			grid, _, _ := rig.apply(dec, in, rec.SitePowerMW)
-			bill, err := rig.tariff.HourBill(h, grid, demand, rig.ledger)
+			grid, raised := pos.Commit(dec, in, rec.SitePowerMW)
+			bill, err := rig.tariff.HourBill(h, grid, demand, nil)
 			if err != nil {
 				return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
 			}
+			bill.DemandUSD = rig.tariff.DemandChargeUSDPerMWMonth * raised
 			rec.CostUSD = bill.TotalUSD()
 			rec.EnergyUSD = bill.EnergyUSD
 			rec.DemandUSD = bill.DemandUSD
 			rec.SettlementUSD = bill.SettlementUSD
 			rec.SiteGridMW = grid
-			rec.SiteSoCMWh = rig.socs()
+			_, rec.SiteSoCMWh = pos.Snapshot()
 			rec.PenaltyUSD, rec.CapViolations = 0, 0
 			for i, g := range grid {
 				if cap := cfg.DCs[i].PowerCapMW; g > cap+1e-9 {
@@ -495,55 +492,35 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			}
 		}
 
-		if store != nil {
-			e := state.Entry{Hour: h, SpentUSD: rec.BillUSD()}
-			if lc, ok := decider.(ladderer); ok {
-				ls := lc.Ladder().Snapshot()
-				e.Resilient = &ls
-			}
-			if rig != nil {
-				ps := rig.ledger.Snapshot()
-				e.Peaks = &ps
-				e.BatterySoCMWh = rig.socs()
-			}
-			if err := store.Append(e); err != nil {
+		if journal != nil {
+			if err := journal.Record(h, rec.BillUSD(), budgeter); err != nil {
 				return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
-			}
-			if (h+1)%state.CheckpointEvery == 0 {
-				cp := state.Checkpoint{Hour: h + 1, Resilient: e.Resilient,
-					Peaks: e.Peaks, BatterySoCMWh: e.BatterySoCMWh}
-				if capped {
-					bs := budgeter.Snapshot()
-					cp.Budget = &bs
-				}
-				if err := store.WriteSnapshot(cp); err != nil {
-					return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
-				}
 			}
 		}
 		if cfg.HaltAfterHours > 0 && h+1 >= cfg.HaltAfterHours {
-			finishResult(&res, budgeter, rig)
+			finishResult(&res, budgeter, pos)
 			return res, ErrHalted
 		}
 	}
-	finishResult(&res, budgeter, rig)
+	finishResult(&res, budgeter, pos)
 	return res, nil
 }
 
 // ladderer is the seam through which the harness reaches a decider's
-// degradation ladder for checkpointing (ResilientCapping implements it).
+// degradation ladder for the journal (ResilientCapping implements it).
 type ladderer interface {
 	Ladder() *core.Resilient
 }
 
 // finishResult attaches the final ledger snapshots to a run's result.
-func finishResult(res *Result, budgeter *budget.Budgeter, rig *tariffRig) {
+func finishResult(res *Result, budgeter *budget.Budgeter, pos *controller.Position) {
 	if budgeter != nil {
 		bs := budgeter.Snapshot()
 		res.Budget = &bs
 	}
-	if rig != nil {
-		res.PeakMW = rig.ledger.Peaks()
+	if pos != nil {
+		peaks, _ := pos.Snapshot()
+		res.PeakMW = peaks.PeaksMW
 	}
 }
 

@@ -5,25 +5,23 @@ import (
 	"math"
 	"math/rand"
 
-	"billcap/internal/battery"
+	"billcap/internal/controller"
 	"billcap/internal/core"
 	"billcap/internal/forecast"
 	"billcap/internal/pricing"
 )
 
 // tariffRig is one run's tariff ground truth: the composable tariff the
-// market actually bills, the billing-period peak ledger behind its demand
-// charge, the physical batteries, and the precomputed day-ahead position
-// (commitments and synthesized real-time prices) for two-settlement runs.
-// One rig serves one Run; RunAll builds one per strategy so ledgers and
-// batteries never cross-contaminate.
+// market actually bills, the position (the billing-period peak ledger
+// behind its demand charge and the physical batteries), and the
+// precomputed day-ahead position (commitments and synthesized real-time
+// prices) for two-settlement runs. One rig serves one Run; RunAll builds one
+// per strategy so ledgers and batteries never cross-contaminate.
 type tariffRig struct {
 	tariff pricing.Tariff
-	ledger *pricing.PeakLedger
-	bats   []*battery.Battery
-	specs  []core.BatterySpec // static battery parameters; SoCMWh refreshed per hour
-	commit [][]float64        // [site][hour] day-ahead commitments, nil outside two-settlement
-	rt     [][]float64        // [site][hour] real-time prices, nil outside two-settlement
+	pos    *controller.Position
+	commit [][]float64 // [site][hour] day-ahead commitments, nil outside two-settlement
+	rt     [][]float64 // [site][hour] real-time prices, nil outside two-settlement
 }
 
 // hasTariff reports whether the configuration bills anything beyond plain
@@ -49,34 +47,16 @@ func (c Config) rtSpread() float64 {
 // the identical market position.
 func newTariffRig(cfg Config) (*tariffRig, error) {
 	n := len(cfg.DCs)
+	pos, err := controller.NewPosition(cfg.DemandChargeUSDPerMWMonth, cfg.Policies, cfg.Batteries)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	rig := &tariffRig{
-		ledger: pricing.NewPeakLedger(n),
+		pos: pos,
 		tariff: pricing.Tariff{
 			Energy:                    cfg.Policies,
 			DemandChargeUSDPerMWMonth: cfg.DemandChargeUSDPerMWMonth,
 		},
-	}
-
-	if len(cfg.Batteries) > 0 {
-		rig.bats = make([]*battery.Battery, n)
-		rig.specs = make([]core.BatterySpec, n)
-		for i, spec := range cfg.Batteries {
-			if spec.CapacityMWh == 0 {
-				continue // explicit "no battery at this site"
-			}
-			b, err := battery.New(spec.CapacityMWh, spec.MaxChargeMW, spec.MaxDischargeMW, spec.Efficiency)
-			if err != nil {
-				return nil, fmt.Errorf("sim: site %d battery: %w", i, err)
-			}
-			b.SetSoC(spec.SoCMWh)
-			if spec.ValueUSDPerMWh == 0 {
-				// Default the value of stored energy to the site's mean LMP
-				// band: charge below it, discharge above it.
-				spec.ValueUSDPerMWh = cfg.Policies[i].Fn.Mean()
-			}
-			rig.bats[i] = b
-			rig.specs[i] = spec
-		}
 	}
 
 	if cfg.TwoSettlement {
@@ -149,13 +129,10 @@ func (b tariffBlind) Decide(in core.HourInput) (core.Decision, error) {
 }
 
 // attach adds the hour's tariff state to the decider's input: the demand
-// charge and peak-so-far ledger, the market position, and the batteries'
-// current state of charge.
-func (tr *tariffRig) attach(in *core.HourInput, cfg Config) {
-	if cfg.DemandChargeUSDPerMWMonth > 0 {
-		in.DemandChargeUSDPerMW = cfg.DemandChargeUSDPerMWMonth
-		in.PeakMW = tr.ledger.Peaks()
-	}
+// charge and peak-so-far ledger, the batteries' current state of charge,
+// and the market position.
+func (tr *tariffRig) attach(in *core.HourInput) {
+	tr.pos.Attach(in)
 	if tr.rt != nil {
 		h := in.Hour
 		rt := make([]float64, len(tr.rt))
@@ -167,72 +144,4 @@ func (tr *tariffRig) attach(in *core.HourInput, cfg Config) {
 		in.RTPriceUSDPerMWh = rt
 		in.CommitMW = cm
 	}
-	if tr.bats != nil {
-		specs := make([]core.BatterySpec, len(tr.specs))
-		copy(specs, tr.specs)
-		for i, b := range tr.bats {
-			if b != nil {
-				specs[i].SoCMWh = b.SoC()
-			}
-		}
-		in.Batteries = specs
-	}
-}
-
-// apply executes the decision's planned battery actions against the physical
-// batteries and returns the resulting metered grid draw per site. Discharge
-// is clamped to the realized IT draw (no export) and to what the store
-// actually holds; charge is clamped to the battery's own rate and headroom.
-// Down sites moved no energy: their plan was zeroed with their load.
-func (tr *tariffRig) apply(dec core.Decision, in core.HourInput, realPower []float64) (grid, chg, dis []float64) {
-	grid = make([]float64, len(realPower))
-	chg = make([]float64, len(realPower))
-	dis = make([]float64, len(realPower))
-	for i, p := range realPower {
-		var c, g float64
-		if tr.bats != nil && i < len(tr.bats) && tr.bats[i] != nil &&
-			i < len(dec.Sites) && !in.SiteDown(i) {
-			plan := dec.Sites[i]
-			g = tr.bats[i].Discharge(math.Min(plan.DischargeMW, p))
-			c = tr.bats[i].Charge(plan.ChargeMW)
-		}
-		grid[i] = p + c - g
-		chg[i] = c
-		dis[i] = g
-	}
-	return grid, chg, dis
-}
-
-// socs returns the per-site battery state of charge (nil when no batteries).
-func (tr *tariffRig) socs() []float64 {
-	if tr.bats == nil {
-		return nil
-	}
-	out := make([]float64, len(tr.bats))
-	for i, b := range tr.bats {
-		if b != nil {
-			out[i] = b.SoC()
-		}
-	}
-	return out
-}
-
-// restore folds a recovered checkpoint's tariff state back into the rig.
-func (tr *tariffRig) restore(peaks *pricing.PeakState, socMWh []float64) error {
-	if peaks != nil {
-		if err := tr.ledger.Restore(*peaks); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-	}
-	if socMWh != nil {
-		if len(socMWh) != len(tr.bats) {
-			return fmt.Errorf("sim: restored %d battery states for %d sites", len(socMWh), len(tr.bats))
-		}
-		for i, b := range tr.bats {
-			if b != nil {
-				b.SetSoC(socMWh[i])
-			}
-		}
-	}
-	return nil
 }

@@ -421,8 +421,8 @@ func Replay(cp *Checkpoint, entries []Entry) (*Checkpoint, int, error) {
 			}
 			out.Hour = e.Hour + 1
 		} else if e.Hour+1 > out.Hour {
-			// Without a ledger (capperd persists only the ladder, and request
-			// hours arrive at the caller's whim) entries fold in WAL order —
+			// Without a ledger (capperd keeps no budget, and request hours
+			// arrive at the caller's whim) entries fold in WAL order —
 			// the last written state wins, gaps are harmless.
 			out.Hour = e.Hour + 1
 		}
