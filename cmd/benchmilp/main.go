@@ -1,8 +1,6 @@
-// Command benchmilp measures the MILP solver at paper scale (5·N binaries
-// for N sites, paper §IV) and writes the results as JSON for CI artifacts
-// and cross-machine comparison: cold versus incremental re-solves of the
-// paper-hour family, and (with -fleet) the exact MILP against dual
-// decomposition at fleet scale.
+// Command benchmilp measures the exact MILP against dual decomposition at
+// fleet scale (5·N binaries for N sites, paper §IV) and writes the results
+// as JSON for CI artifacts and cross-machine comparison.
 //
 // Usage:
 //
@@ -22,22 +20,6 @@ import (
 	"billcap/internal/decomp"
 	"billcap/internal/milp"
 )
-
-// incrementalResult compares a cold hour-by-hour re-solve of the paper-hour
-// family against the incremental path (presolve + previous hour's optimum
-// and root basis as seeds) over the same hour sequence.
-type incrementalResult struct {
-	Sites         int     `json:"sites"`
-	Binaries      int     `json:"binaries"`
-	Hours         int     `json:"hours"`
-	ColdNodes     int     `json:"coldNodes"`
-	WarmNodes     int     `json:"warmNodes"`
-	PresolveFixed int     `json:"presolveFixed"` // binaries fixed across all warm hours
-	WarmStarts    int     `json:"warmStarts"`    // hours whose seed incumbent was accepted
-	ColdWallMS    float64 `json:"coldWallMS"`
-	WarmWallMS    float64 `json:"warmWallMS"`
-	NodeReduction float64 `json:"nodeReduction"` // 1 − warmNodes/coldNodes
-}
 
 // fleetResult pits the exact MILP against the Lagrangian dual decomposition
 // (internal/decomp) on one milp.NewPaperFleet hour. The exact solve runs
@@ -71,12 +53,11 @@ type fleetResult struct {
 }
 
 type report struct {
-	Bench       string              `json:"bench"`
-	GoMaxProcs  int                 `json:"goMaxProcs"`
-	MaxNodes    int                 `json:"maxNodes"`
-	Reps        int                 `json:"reps"`
-	Incremental []incrementalResult `json:"incremental"`
-	Fleet       []fleetResult       `json:"fleet,omitempty"`
+	Bench      string        `json:"bench"`
+	GoMaxProcs int           `json:"goMaxProcs"`
+	MaxNodes   int           `json:"maxNodes"`
+	Reps       int           `json:"reps"`
+	Fleet      []fleetResult `json:"fleet"`
 }
 
 // runFleet measures one fleet size, best-of-reps per solver.
@@ -121,56 +102,11 @@ func runFleet(sites, maxNodes, reps int, exactDeadline time.Duration) fleetResul
 	return fr
 }
 
-// runIncremental re-solves an hour sequence of the milp.NewPaperHour family
-// twice: cold every hour, and incrementally with presolve plus the previous
-// hour's optimum and root basis. The budget loosens hour over hour (the
-// carry-forward pool of the paper's §III grows through cheap hours), so each
-// hour's optimum is feasible — and a strong incumbent — for the next.
-func runIncremental(sites, hours, maxNodes int) incrementalResult {
-	res := incrementalResult{Sites: sites, Binaries: 5 * sites, Hours: hours}
-	var prev milp.Solution
-	for h := 0; h < hours; h++ {
-		cold := milp.NewPaperHour(sites, milp.PaperHourBudget(sites, h))
-		start := time.Now()
-		cs := cold.SolveWithOptions(milp.Options{MaxNodes: maxNodes})
-		res.ColdWallMS += time.Since(start).Seconds() * 1e3
-		if cs.Status != milp.Optimal && cs.Status != milp.Limit {
-			log.Fatalf("incremental sites=%d hour=%d cold: %v", sites, h, cs.Status)
-		}
-		res.ColdNodes += cs.Nodes
-
-		warm := milp.NewPaperHour(sites, milp.PaperHourBudget(sites, h))
-		opt := milp.Options{MaxNodes: maxNodes, Presolve: true}
-		if h > 0 {
-			opt.StartX = prev.X
-			opt.StartBasis = prev.RootBasis
-		}
-		start = time.Now()
-		ws := warm.SolveWithOptions(opt)
-		res.WarmWallMS += time.Since(start).Seconds() * 1e3
-		if ws.Status != milp.Optimal && ws.Status != milp.Limit {
-			log.Fatalf("incremental sites=%d hour=%d warm: %v", sites, h, ws.Status)
-		}
-		res.WarmNodes += ws.Nodes
-		res.PresolveFixed += ws.PresolveFixed
-		if ws.WarmStarted {
-			res.WarmStarts++
-		}
-		prev = ws
-	}
-	if res.ColdNodes > 0 {
-		res.NodeReduction = 1 - float64(res.WarmNodes)/float64(res.ColdNodes)
-	}
-	return res
-}
-
 func main() {
 	out := flag.String("out", "BENCH_milp.json", "path to write the JSON report")
 	quick := flag.Bool("quick", false, "CI smoke mode: smaller node budget, one repetition")
 	gate := flag.Bool("gate", false,
 		"exit nonzero if the fleet decomposition gap at N=50 exceeds 1%")
-	fleet := flag.Bool("fleet", false,
-		"also run the fleet section: exact MILP vs Lagrangian dual decomposition on milp.NewPaperFleet at N=50/200/500")
 	flag.Parse()
 
 	maxNodes, reps := 4000, 3
@@ -179,37 +115,24 @@ func main() {
 	}
 
 	rep := report{
-		Bench:      "milp branch-and-bound at 5·N binaries: incremental re-solves, fleet decomposition",
+		Bench:      "exact MILP vs Lagrangian dual decomposition on milp.NewPaperFleet at 5·N binaries",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		MaxNodes:   maxNodes,
 		Reps:       reps,
 	}
-	hours := 12
+	exactDeadline := 10 * time.Second
 	if *quick {
-		hours = 6
+		exactDeadline = 3 * time.Second
 	}
-	for _, sites := range []int{5, 10, 20} {
-		inc := runIncremental(sites, hours, maxNodes)
-		rep.Incremental = append(rep.Incremental, inc)
-		fmt.Printf("incremental sites=%-3d hours=%d  cold=%d nodes  warm=%d nodes  fixed=%d  warmStarts=%d  reduction=%.0f%%\n",
-			sites, inc.Hours, inc.ColdNodes, inc.WarmNodes, inc.PresolveFixed, inc.WarmStarts, 100*inc.NodeReduction)
-	}
-
 	fleetGateOK := true
-	if *fleet {
-		exactDeadline := 10 * time.Second
-		if *quick {
-			exactDeadline = 3 * time.Second
-		}
-		for _, sites := range []int{50, 200, 500} {
-			fr := runFleet(sites, maxNodes, reps, exactDeadline)
-			rep.Fleet = append(rep.Fleet, fr)
-			fmt.Printf("fleet sites=%-4d exact=%9.1fms (%s, %d nodes)  decomp=%8.1fms (%s, %d iters, %d polishes, %d pivots)  gap=%.3f%%  vsExact=%+.3f%%\n",
-				sites, fr.ExactWallMS, fr.ExactStatus, fr.ExactNodes,
-				fr.DecompWallMS, fr.DecompStatus, fr.DecompIterations, fr.DecompPolishes, fr.DecompLPPivots, fr.DecompGapPct, fr.VsExactPct)
-			if sites == 50 && fr.DecompGapPct > 1 {
-				fleetGateOK = false
-			}
+	for _, sites := range []int{50, 200, 500} {
+		fr := runFleet(sites, maxNodes, reps, exactDeadline)
+		rep.Fleet = append(rep.Fleet, fr)
+		fmt.Printf("fleet sites=%-4d exact=%9.1fms (%s, %d nodes)  decomp=%8.1fms (%s, %d iters, %d polishes, %d pivots)  gap=%.3f%%  vsExact=%+.3f%%\n",
+			sites, fr.ExactWallMS, fr.ExactStatus, fr.ExactNodes,
+			fr.DecompWallMS, fr.DecompStatus, fr.DecompIterations, fr.DecompPolishes, fr.DecompLPPivots, fr.DecompGapPct, fr.VsExactPct)
+		if sites == 50 && fr.DecompGapPct > 1 {
+			fleetGateOK = false
 		}
 	}
 

@@ -84,7 +84,7 @@ func main() {
 	deadline := flag.Duration("decide-deadline", 5*time.Second,
 		"per-decision solver deadline; an expiring solve answers with its best incumbent (0 = unbounded)")
 	solverCache := flag.Bool("solver-cache", false,
-		"incremental hour-over-hour solving: MILP presolve plus a cross-hour warm-start cache (skeleton, basis, incumbent)")
+		"carry each solve kind's root LP basis to the next hour's solve (hours with tariff extras stay cold)")
 	decompose := flag.Bool("decompose", false,
 		"fleet-scale solving: route hour decisions through Lagrangian dual decomposition when the fleet exceeds -decompose-threshold sites")
 	decomposeThreshold := flag.Int("decompose-threshold", 0,

@@ -67,7 +67,8 @@ type Server struct {
 	metrics   *httpMetrics
 	// route is the lock-free request data plane: every decision installs an
 	// immutable routing snapshot that /v1/route and /v1/route/batch serve
-	// without locks or solving (see route.go).
+	// without locks or solving (see route.go). Its drift re-solves run on a
+	// System and ladder of their own.
 	route *RoutePlane
 	// pos, when non-nil (see EnableTariff), bills beyond plain energy
 	// charges: the demand-charge peak ledger and per-site batteries.
@@ -104,7 +105,15 @@ func New(dcs []*dcmodel.Site, policies []pricing.Policy, opts core.Options) (*Se
 	for i, dc := range dcs {
 		names[i] = dc.Name
 	}
-	s.route, err = newRoutePlane(s.resilient, reg, names, defaultDriftRatio)
+	// A drift re-solve finishes whenever its solve does, outside the hour
+	// lock, so it must not touch what /v1/decide plans from: the solve cache
+	// and the ladder that is journaled. Only the route table is shared.
+	driftSys, err := core.NewSystem(dcs, policies, opts)
+	if err != nil {
+		return nil, err
+	}
+	driftSys.SetMetrics(sys.Metrics())
+	s.route, err = newRoutePlane(core.NewResilient(driftSys, core.ResilientOptions{}), reg, names, defaultDriftRatio)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +161,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Resilient exposes the server's degradation ladder — the seam through which
-// an operator (or a chaos test) can force rung failures.
+// an operator (or a chaos test) can force rung failures. Drift re-solves run
+// on the route plane's own ladder, which it does not reach.
 func (s *Server) Resilient() *core.Resilient { return s.resilient }
 
 // noteRung feeds the readiness trip: consecutive decisions at the fallback
@@ -401,11 +411,6 @@ type DecideResponse struct {
 	SolverIncumbents int            `json:"solverIncumbents"`
 	SolverTimeouts   int            `json:"solverTimeouts,omitempty"`
 	SolverWallMS     float64        `json:"solverWallMS"`
-	// SolverPresolveFixed / SolverWarmStarted report the incremental-solving
-	// path (presolved binaries, warm-started solves); 0 unless the server
-	// runs with the solve cache enabled.
-	SolverPresolveFixed int `json:"solverPresolveFixed,omitempty"`
-	SolverWarmStarted   int `json:"solverWarmStarted,omitempty"`
 	// SolverLPRefactorizations / SolverLPBasisUpdates expose the sparse LP
 	// core's basis-factorization work (LU rebuilds, eta-file updates).
 	SolverLPRefactorizations int `json:"solverLPRefactorizations,omitempty"`
@@ -461,9 +466,6 @@ func (s *Server) decideResponseFrom(dec core.Decision) DecideResponse {
 		SolverIncumbents: dec.Solver.Incumbents,
 		SolverTimeouts:   dec.Solver.Timeouts,
 		SolverWallMS:     float64(dec.Solver.WallTime.Microseconds()) / 1e3,
-
-		SolverPresolveFixed: dec.Solver.PresolveFixed,
-		SolverWarmStarted:   dec.Solver.WarmStarted,
 
 		SolverLPRefactorizations: dec.Solver.LPRefactorizations,
 		SolverLPBasisUpdates:     dec.Solver.LPBasisUpdates,

@@ -85,9 +85,12 @@ func zeroWallTime(ls *core.ResilientState) {
 // the directory holds at the end: the WAL entries and the newest
 // checkpoint, solver wall times zeroed. It was recorded before the daemon's
 // hour ran through internal/controller, so it shows the shared controller
-// changed no answer, no position and no durable byte.
+// changed no answer, no position and no durable byte. It was re-recorded
+// once, when the ladder state's solver stats lost their presolve and
+// warm-start counters: those two keys, always 0 here, were the only bytes
+// that moved.
 func TestDaemonGolden(t *testing.T) {
-	const want = uint64(0x5316b75e1a105c1b)
+	const want = uint64(0x3b46bc3e3a276ccb)
 	dir := t.TempDir()
 	s, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{})
 	if err != nil {

@@ -39,8 +39,10 @@ const flushRingSize = 8
 // Drift closes the loop between the planes: every snapshot counts the
 // arrivals it observes, and when that count exceeds ratio × the arrivals the
 // installed decision was solved for, the plane re-solves asynchronously
-// through the resilient ladder (scaled to the observed rate) and swaps in
-// the result — the request path never blocks on the solver.
+// through its own resilient ladder (scaled to the observed rate) and swaps
+// in the result — the request path never blocks on the solver. The ladder
+// and its System belong to the plane alone, so a re-solve moves no solver or
+// ladder state that /v1/decide reads.
 type RoutePlane struct {
 	snap     atomic.Pointer[dispatch.Snapshot]
 	detector atomic.Pointer[forecast.DriftDetector]
@@ -197,12 +199,12 @@ func (p *RoutePlane) resolveDrift(observed float64) {
 }
 
 // installDrift installs a drift re-solve of the table at version, unless a
-// newer install has superseded that table while the solve ran — the solve
-// can wait on the ladder behind the next hour's /v1/decide — in which case
-// the answer is dropped and the detector, armed by that newer install, is
-// left alone. If the answer is uninstallable — the ladder shed the hour —
-// the detector is disarmed so the still-climbing arrival count cannot
-// re-trip a re-solve loop against an unroutable decision. It reports
+// newer install has superseded that table while the solve ran — the next
+// hour's /v1/decide can install while the re-solve is still solving — in
+// which case the answer is dropped and the detector, armed by that newer
+// install, is left alone. If the answer is uninstallable — the ladder shed
+// the hour — the detector is disarmed so the still-climbing arrival count
+// cannot re-trip a re-solve loop against an unroutable decision. It reports
 // whether the answer was installed.
 func (p *RoutePlane) installDrift(d *forecast.DriftDetector, version uint64, in core.HourInput, dec core.Decision) bool {
 	p.mu.Lock()

@@ -1,10 +1,14 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -318,6 +322,90 @@ func TestRouteDriftSupersededKeepsNewerHour(t *testing.T) {
 	}
 	if got := d.Predicted(); got != 1.2e12 {
 		t.Errorf("detector armed at %v, want the re-solve's 1.2e12", got)
+	}
+}
+
+// TestDriftResolveMovesNoSolveCache: drift re-solves must not change what
+// /v1/decide answers. On a server with the solve cache, 48 hours decided
+// with a drift re-solve after every 4th must answer byte for byte (solver
+// wall time aside) what the same 48 hours answer without them. When drift
+// re-solves shared the server's System, each one left its root bases in the
+// cache and the next hour crashed from them.
+func TestDriftResolveMovesNoSolveCache(t *testing.T) {
+	answers := func(drift bool) [][]byte {
+		s, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{SolverCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, plane := s.Handler(), s.RoutePlane()
+		rng := rand.New(rand.NewSource(20))
+		var out [][]byte
+		for hour := 1; hour <= 48; hour++ {
+			// A diurnal day: consecutive hours share their model's shape,
+			// which is when a carried basis is offered.
+			total := (0.9 + 0.4*math.Sin(2*math.Pi*float64(hour)/24) + 0.1*rng.Float64()) * 1e12
+			req := DecideRequest{
+				TotalLambda:   total,
+				PremiumLambda: 0.5 * total,
+				DemandMW:      []float64{170 + 10*rng.Float64(), 190 + 10*rng.Float64(), 150 + 10*rng.Float64()},
+				Hour:          hour,
+				Resilient:     true,
+			}
+			if hour%3 == 0 {
+				b := 600 + 600*rng.Float64()
+				req.BudgetUSD = &b
+			}
+			var answer map[string]any
+			if err := json.Unmarshal(serveBytes(t, h, http.MethodPost, "/v1/decide", req), &answer); err != nil {
+				t.Fatal(err)
+			}
+			delete(answer, "solverWallMS")
+			body, err := json.Marshal(answer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, body)
+			if drift && hour%4 == 0 {
+				version, scaled, dec := driftSolve(plane, 2)
+				plane.installDrift(plane.detector.Load(), version, scaled, dec)
+			}
+		}
+		return out
+	}
+	want, got := answers(false), answers(true)
+	differ := 0
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			differ++
+			t.Logf("hour %d: with drift re-solves %s\nwithout %s", i+1, got[i], want[i])
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d answers changed by drift re-solves", differ, len(want))
+	}
+}
+
+// TestDriftResolveMovesNoLadderState: a drift re-solve of hour 1 that
+// finishes after hour 2's decide must leave the server's ladder as hour 2
+// left it. When drift re-solves ran on the server's ladder, the late solve
+// became the last good decision, so the stale rung and the journal went back
+// to hour 1 with the drift's plan.
+func TestDriftResolveMovesNoLadderState(t *testing.T) {
+	s, ts := newRouteTestServer(t)
+	plane := s.RoutePlane()
+	decideOnce(t, ts, 1e12, 4e11, 1)
+	plane.mu.Lock()
+	in, version := plane.lastIn, plane.version
+	plane.mu.Unlock()
+	decideOnce(t, ts, 6e11, 2e11, 2) // hour 2 goes live while hour 1 re-solves
+	want := s.Resilient().Snapshot()
+	scaled := in.ScaleLoad(2)
+	if plane.installDrift(plane.detector.Load(), version, scaled, plane.resilient.Decide(scaled)) {
+		t.Fatal("superseded drift answer installed")
+	}
+	if got := s.Resilient().Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("drift re-solve moved the ladder: last good hour %d serving %v, want hour %d serving %v",
+			got.LastGoodHour, got.LastGood.Served, want.LastGoodHour, want.LastGood.Served)
 	}
 }
 

@@ -19,9 +19,11 @@ import (
 //
 // The batch is split into contiguous chunks, one per goroutine, each
 // processed in input order. For hour sequences this is the cache-friendly
-// order: with Options.SolverCache on, hour h's optimum seeds hour h+1 inside
-// the same chunk, so a re-optimized horizon warm-starts almost every solve
-// instead of interleaving unrelated hours through the shared cache.
+// order: with Options.SolverCache on, hour h's root basis crashes hour h+1's
+// root LP inside the same chunk, instead of interleaving unrelated hours
+// through the shared cache. Which hour solved last then depends on the
+// chunking, so with the cache on answers can differ from serial ones in the
+// last ulps.
 func (s *System) DecideBatch(ctx context.Context, ins []HourInput) ([]Decision, []error) {
 	decs := make([]Decision, len(ins))
 	errs := make([]error, len(ins))

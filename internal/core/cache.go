@@ -1,18 +1,15 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"billcap/internal/milp"
-	"billcap/internal/piecewise"
 )
 
 // solveKind distinguishes the MILP families the two-step algorithm issues.
-// The cross-hour cache keeps one warm-start seed per kind, because the
-// problems differ structurally (equality vs inequality load row, budget row
-// present or not) and their optima drift apart — step 1's cost-minimal plan
-// is a poor incumbent for step 2's throughput maximization.
+// The cross-hour cache keeps one root basis per kind, because the problems
+// differ structurally (equality vs inequality load row, budget row present
+// or not) and their optima drift apart.
 type solveKind int
 
 const (
@@ -29,379 +26,60 @@ const (
 	numKinds
 )
 
-// skeletonEntry is the memoized hour-invariant model: the pristine output of
-// buildBase (no Σ-load row, no budget row, no objective) plus the variable
-// and row handles needed to patch a clone for a new hour.
-type skeletonEntry struct {
-	sig  uint64
-	m    *milp.Problem
-	vars []siteVars
-}
-
-// seedEntry is one kind's warm-start state from its last optimal solve: the
-// per-site workloads (the integer solution compressed to what survives an
-// hour boundary) and the root LP basis with the dimensions it was taken at.
-type seedEntry struct {
-	sig          uint64
-	lambdas      []float64
+// rootBasis is one kind's root LP basis from its last optimal solve, with
+// the model's variable and row counts it was taken at.
+type rootBasis struct {
 	basis        []int
 	nvars, ncons int
 }
 
-// SolveCache memoizes the hour-invariant MILP skeleton and the previous
-// hour's optima so consecutive hours solve incrementally (paper workloads are
-// diurnal: hour h+1 looks like hour h with shifted numbers). It is purely an
-// acceleration layer — the skeleton is patched only under an exact structure
-// signature match, basis seeds are gated on identical dimensions and crash
-// safely in the LP layer, and incumbent seeds are re-screened for integer
-// feasibility by the MILP layer — so a stale or mismatched entry costs a cold
-// solve, never a wrong answer. All methods are safe for concurrent use.
+// SolveCache carries each solve kind's root LP basis from one hour to the
+// next (paper workloads are diurnal: hour h+1 looks like hour h with shifted
+// numbers, so the last optimal basis is usually a few pivots from the new
+// one). A stored basis is offered only to a model with the same variable and
+// row counts, and the LP's crash screen turns any other mismatch into a cold
+// start, so a stale entry costs time, never a wrong answer. All methods are
+// safe for concurrent use.
 type SolveCache struct {
-	mu       sync.Mutex
-	skeleton *skeletonEntry
-	seeds    [numKinds]*seedEntry
-
-	hits, misses int
+	mu    sync.Mutex
+	bases [numKinds]rootBasis
 }
 
-func newSolveCache() *SolveCache { return &SolveCache{} }
-
-// Stats reports skeleton cache hits and misses (for tests and debugging).
-func (c *SolveCache) Stats() (hits, misses int) {
+// basis returns kind's stored basis when it was taken on a model of the
+// given shape, nil otherwise.
+func (c *SolveCache) basis(kind solveKind, nvars, ncons int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-func (c *SolveCache) loadSkeleton(sig uint64) *skeletonEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.skeleton != nil && c.skeleton.sig == sig {
-		c.hits++
-		return c.skeleton
+	if e := c.bases[kind]; e.nvars == nvars && e.ncons == ncons {
+		return e.basis
 	}
-	c.misses++
 	return nil
 }
 
-func (c *SolveCache) storeSkeleton(e *skeletonEntry) {
+func (c *SolveCache) store(kind solveKind, basis []int, nvars, ncons int) {
 	c.mu.Lock()
-	c.skeleton = e
+	c.bases[kind] = rootBasis{basis: basis, nvars: nvars, ncons: ncons}
 	c.mu.Unlock()
 }
 
-func (c *SolveCache) loadSeed(kind solveKind, sig uint64) *seedEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.seeds[kind]
-	if e == nil || e.sig != sig {
-		return nil
-	}
-	return e
-}
-
-func (c *SolveCache) store(kind solveKind, sig uint64, lambdas []float64, basis []int, nvars, ncons int) {
-	c.mu.Lock()
-	c.seeds[kind] = &seedEntry{sig: sig, lambdas: lambdas, basis: basis, nvars: nvars, ncons: ncons}
-	c.mu.Unlock()
-}
-
-// hourSig is an FNV-1a hash over everything that determines the skeleton's
-// row/column structure: the per-site reachable price segments, which of them
-// carry a lower-bound row, and the outage pattern. Coefficient values (scale,
-// capacity, segment bounds) are deliberately excluded — those are what the
-// patch path rewrites. Any change to the site set or policies produces a
-// different reachable-segment pattern or is a different System entirely, so
-// the cache drops stale skeletons by construction.
-type hourSig struct{ h uint64 }
-
-func newHourSig() hourSig { return hourSig{h: 14695981039346656037} }
-
-func (s *hourSig) add(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.h ^= v & 0xff
-		s.h *= 1099511628211
-		v >>= 8
-	}
-}
-
-func (s *hourSig) addInt(v int) { s.add(uint64(int64(v))) }
-
-func (s *hourSig) addBool(b bool) {
-	if b {
-		s.add(1)
-	} else {
-		s.add(0)
-	}
-}
-
-// planHour derives every site's reachable-segment plan for the hour and the
-// structure signature over the plans. The plans double as the patch input.
-func (s *System) planHour(in HourInput) ([][]piecewise.SegPlan, uint64, error) {
-	plans := make([][]piecewise.SegPlan, len(s.models))
-	h := newHourSig()
-	h.addInt(len(s.models))
-	for i, sm := range s.models {
-		plan, err := piecewise.PlanSegments(s.viewFn(i).Fn, in.DemandMW[i],
-			sm.site.DC.PowerCapMW, sm.site.DC.RoundingSlackMW())
-		if err != nil {
-			return nil, 0, err
-		}
-		plans[i] = plan
-		h.addInt(len(plan))
-		for _, sp := range plan {
-			h.addInt(sp.Seg)
-			h.addBool(sp.Lo > 0)
-		}
-		h.addBool(in.SiteDown(i))
-	}
-	return plans, h.h, nil
-}
-
-// buildHour returns the hour's model skeleton and variable handles — through
-// the cache when one is attached: a signature hit clones the memoized
-// skeleton and patches only the hour-dependent coefficients (affine link,
-// capacity big-M, segment bounds), skipping the full rebuild.
-func (s *System) buildHour(in HourInput, scale, maxLoad float64) (*milp.Problem, []siteVars, uint64, error) {
-	if s.cache == nil || in.hasTariffExtras() {
-		// Tariff hours bypass the cache: the skeleton lacks the battery and
-		// demand-charge variables and their bounds move with the state of
-		// charge and the peak ledger, so sig 0 also disables warm-start
-		// seeds (warmOptions/rememberSolve ignore it).
-		m, vars, err := s.buildBase(in, scale, maxLoad)
-		return m, vars, 0, err
-	}
-	plans, sig, err := s.planHour(in)
-	if err != nil {
-		// Mirror buildBase's error wrapping so callers see identical failures
-		// with and without the cache.
-		m, vars, berr := s.buildBase(in, scale, maxLoad)
-		if berr != nil {
-			return nil, nil, 0, berr
-		}
-		return m, vars, 0, nil
-	}
-	if sk := s.cache.loadSkeleton(sig); sk != nil {
-		m := sk.m.Clone()
-		vars := cloneSiteVars(sk.vars)
-		if s.patchHour(m, vars, plans, scale, maxLoad) {
-			return m, vars, sig, nil
-		}
-	}
-	m, vars, err := s.buildBase(in, scale, maxLoad)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	s.cache.storeSkeleton(&skeletonEntry{sig: sig, m: m.Clone(), vars: cloneSiteVars(vars)})
-	return m, vars, sig, nil
-}
-
-// patchHour rewrites the hour-dependent coefficients of a cloned skeleton:
-// the affine power link's −a·scale, the capacity row's −xmax/scale, and every
-// segment's demand-shifted bounds. Returns false on any shape drift (the
-// caller then rebuilds cold).
-func (s *System) patchHour(m *milp.Problem, vars []siteVars, plans [][]piecewise.SegPlan, scale, maxLoad float64) bool {
-	for i := range s.models {
-		sm := &s.models[i]
-		v := &vars[i]
-		if !v.enc.Patch(m, plans[i]) {
-			return false
-		}
-		m.SetCoef(v.powRow, v.x, -sm.affine.A*scale)
-		xmax := math.Min(sm.maxLambda, maxLoad)
-		m.SetCoef(v.capRow, v.y, -xmax/scale)
-	}
-	return true
-}
-
-func cloneSiteVars(vs []siteVars) []siteVars {
-	out := make([]siteVars, len(vs))
-	for i, v := range vs {
-		out[i] = v
-		out[i].enc = v.enc.Clone()
-	}
-	return out
-}
-
-// warmOptions upgrades the solve options with the cache's acceleration for
-// this kind: presolve always, plus — when a previous hour's optimum exists
-// under the same structure signature — its root basis (dimensions permitting)
-// and its workloads re-assembled into a feasible starting incumbent. A seed
-// that cannot be made feasible is simply dropped; the MILP layer re-screens
-// whatever is passed, so this path cannot change any answer.
-func (s *System) warmOptions(so milp.Options, kind solveKind, sig uint64, m *milp.Problem,
-	vars []siteVars, in HourInput, scale, target float64, exactSum bool, budget float64) milp.Options {
-	if s.cache == nil || sig == 0 {
-		// sig 0 marks a tariff-extras hour: the seed's cost arithmetic and
-		// variable layout do not cover the extra variables, so neither
-		// presolve-by-skeleton nor warm seeds apply.
-		return so
-	}
-	so.Presolve = true
-	e := s.cache.loadSeed(kind, sig)
-	if e == nil {
-		return so
-	}
-	if x0 := s.assembleSeed(m, vars, in, scale, target, exactSum, budget, e.lambdas); x0 != nil {
-		so.StartX = x0
-	}
-	if e.nvars == m.NumVars() && e.ncons == m.NumConstraints() {
-		so.StartBasis = e.basis
+// warmOptions crashes this kind's root LP from the basis its last optimal
+// solve left, when the cache is on and the model has that solve's shape.
+// Tariff hours neither read nor write the cache (see rememberSolve).
+func (s *System) warmOptions(so milp.Options, kind solveKind, m *milp.Problem, in HourInput) milp.Options {
+	if s.cache != nil && !in.hasTariffExtras() {
+		so.StartBasis = s.cache.basis(kind, m.NumVars(), m.NumConstraints())
 	}
 	return so
 }
 
-// rememberSolve records an optimal solve's per-site workloads and root basis
-// as the next hour's seed for the same kind.
-func (s *System) rememberSolve(kind solveKind, sig uint64, sol milp.Solution, m *milp.Problem, vars []siteVars, scale float64) {
-	if s.cache == nil || sig == 0 || sol.Status != milp.Optimal {
+// rememberSolve records an optimal solve's root basis for the next hour of
+// the same kind. Hours with tariff extras (demand charge, two-settlement,
+// batteries) neither read nor write the cache: the carried basis was
+// measured only on energy-only hours, and skipping them keeps a tariff
+// hour's answer independent of which hour solved before it.
+func (s *System) rememberSolve(kind solveKind, sol milp.Solution, m *milp.Problem, in HourInput) {
+	if s.cache == nil || in.hasTariffExtras() || sol.Status != milp.Optimal {
 		return
 	}
-	lam := make([]float64, len(vars))
-	for i, v := range vars {
-		if sol.X[v.y] > 0.5 {
-			if l := sol.X[v.x] * scale; l > 0 {
-				lam[i] = l
-			}
-		}
-	}
-	s.cache.store(kind, sig, lam, sol.RootBasis, m.NumVars(), m.NumConstraints())
-}
-
-// assembleSeed reconstructs a full MILP starting point from the previous
-// hour's per-site workloads: redistribute them onto this hour's capacities
-// and total, then rebuild the dependent variables (power, segment powers,
-// binaries) exactly as the constraints demand. Best-effort by design — any
-// nil return only costs the warm start, and the MILP layer independently
-// verifies feasibility of whatever is returned.
-func (s *System) assembleSeed(m *milp.Problem, vars []siteVars, in HourInput,
-	scale, target float64, exactSum bool, budget float64, prev []float64) []float64 {
-	n := len(vars)
-	if len(prev) != n || target < 0 {
-		return nil
-	}
-	xmax := make([]float64, n)
-	lam := make([]float64, n)
-	sum := 0.0
-	for i := range s.models {
-		if in.SiteDown(i) {
-			continue // xmax stays 0: the down row forces the site off
-		}
-		xmax[i] = math.Min(s.models[i].maxLambda, target)
-		lam[i] = math.Min(prev[i], xmax[i])
-		sum += lam[i]
-	}
-	if exactSum {
-		if !rebalance(lam, xmax, target) {
-			return nil
-		}
-	} else if sum > target && sum > 0 {
-		f := target / sum
-		for i := range lam {
-			lam[i] *= f
-		}
-	}
-	for tries := 0; tries < 2; tries++ {
-		x0, cost, ok := s.seedFromLambdas(m, vars, lam, scale)
-		if !ok {
-			return nil
-		}
-		if math.IsInf(budget, 1) || cost <= budget {
-			return x0
-		}
-		if exactSum || cost <= 0 {
-			return nil // an equality-sum seed cannot shed load to fit a budget
-		}
-		// Over budget: shrink toward it and retry once. Idle power makes cost
-		// sublinear in load, so undershoot a little to land inside.
-		f := budget / cost * 0.95
-		for i := range lam {
-			lam[i] *= f
-		}
-	}
-	return nil
-}
-
-// rebalance adjusts lam in place so Σ lam = target with 0 ≤ lam[i] ≤ xmax[i],
-// staying as close to the incoming proportions as possible. Returns false
-// when the capacities cannot carry the target.
-func rebalance(lam, xmax []float64, target float64) bool {
-	sum := 0.0
-	for _, l := range lam {
-		sum += l
-	}
-	if sum > target && sum > 0 {
-		f := target / sum
-		for i := range lam {
-			lam[i] *= f
-		}
-	} else if sum < target {
-		deficit := target - sum
-		for i := range lam {
-			if deficit <= 0 {
-				break
-			}
-			room := xmax[i] - lam[i]
-			if room <= 0 {
-				continue
-			}
-			add := math.Min(room, deficit)
-			lam[i] += add
-			deficit -= add
-		}
-		if deficit > 1e-9*(1+target) {
-			return false
-		}
-	}
-	// Float exactness: park the residual on any site with room for it, so the
-	// Σ x = target/scale equality row holds to solver tolerance.
-	sum = 0
-	for _, l := range lam {
-		sum += l
-	}
-	diff := target - sum
-	if diff == 0 {
-		return true
-	}
-	for i := range lam {
-		if v := lam[i] + diff; v >= 0 && v <= xmax[i] {
-			lam[i] = v
-			return true
-		}
-	}
-	return false
-}
-
-// seedFromLambdas expands per-site workloads into the full variable vector:
-// x from the scaling, y on iff the site carries load, p from the affine
-// model, and the one price segment whose bounds contain p selected. Returns
-// ok=false when some site's power lands outside every reachable segment
-// (demand moved the breakpoints past it).
-func (s *System) seedFromLambdas(m *milp.Problem, vars []siteVars, lam []float64, scale float64) ([]float64, float64, bool) {
-	x0 := make([]float64, m.NumVars())
-	cost := 0.0
-	for i, v := range vars {
-		if lam[i] <= 0 {
-			continue // all-zero block: site off, every row satisfied
-		}
-		aff := s.models[i].affine
-		p := aff.A*lam[i] + aff.B
-		seg := -1
-		for j := range v.enc.SegLo {
-			if p >= v.enc.SegLo[j] && p <= v.enc.SegHi[j] {
-				seg = j
-				break
-			}
-		}
-		if seg < 0 {
-			return nil, 0, false
-		}
-		x0[v.x] = lam[i] / scale
-		x0[v.y] = 1
-		x0[v.enc.Power] = p
-		x0[v.enc.SegPower[seg]] = p
-		x0[v.enc.SegBin[seg]] = 1
-		cost += v.enc.SegRate[seg] * p
-	}
-	return x0, cost, true
+	s.cache.store(kind, sol.RootBasis, m.NumVars(), m.NumConstraints())
 }

@@ -1,76 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
-
-	"billcap/internal/lpparse"
 )
-
-// TestBuildHourPatchMatchesRebuild proves the skeleton-patching path emits
-// exactly the model a cold rebuild would: two hours with different demand,
-// load and scale, where the second build is a cache hit, must produce a
-// byte-identical lp_solve dump to a from-scratch buildBase.
-func TestBuildHourPatchMatchesRebuild(t *testing.T) {
-	s := paperSystem(t, Options{SolverCache: true})
-	inA := HourInput{TotalLambda: 9e11, PremiumLambda: 5e11, DemandMW: demand3(), BudgetUSD: math.Inf(1)}
-	inB := HourInput{TotalLambda: 1.3e12, PremiumLambda: 6e11, DemandMW: []float64{180, 175, 160}, BudgetUSD: math.Inf(1)}
-
-	// Hour A populates the cache.
-	scaleA := lambdaScale(inA.TotalLambda)
-	if _, _, _, err := s.buildHour(inA, scaleA, inA.TotalLambda); err != nil {
-		t.Fatal(err)
-	}
-	// Hour B should hit and patch.
-	scaleB := lambdaScale(inB.TotalLambda)
-	patched, _, _, err := s.buildHour(inB, scaleB, inB.TotalLambda)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := s.cache.Stats(); hits == 0 {
-		t.Fatal("second hour with the same reachable segments did not hit the skeleton cache")
-	}
-	fresh, _, err := s.buildBase(inB, scaleB, inB.TotalLambda)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got, want bytes.Buffer
-	if err := lpparse.Write(&got, patched); err != nil {
-		t.Fatal(err)
-	}
-	if err := lpparse.Write(&want, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Errorf("patched skeleton differs from a cold rebuild:\n--- patched ---\n%s\n--- rebuilt ---\n%s",
-			got.String(), want.String())
-	}
-}
-
-// TestBuildHourSignatureMiss: demand high enough to change the reachable
-// segment set must miss the cache and rebuild rather than patch the wrong
-// shape.
-func TestBuildHourSignatureMiss(t *testing.T) {
-	s := paperSystem(t, Options{SolverCache: true})
-	inA := HourInput{TotalLambda: 9e11, PremiumLambda: 5e11, DemandMW: demand3(), BudgetUSD: math.Inf(1)}
-	scale := lambdaScale(inA.TotalLambda)
-	if _, _, sigA, err := s.buildHour(inA, scale, inA.TotalLambda); err != nil {
-		t.Fatal(err)
-	} else if sigA == 0 {
-		t.Fatal("cache-enabled build returned zero signature")
-	}
-	// Push demand past the first breakpoints: lower segments become
-	// unreachable, so the skeleton has fewer rows and must not be patched.
-	inB := inA
-	inB.DemandMW = []float64{260, 280, 240}
-	if _, _, sigB, err := s.buildHour(inB, scale, inB.TotalLambda); err != nil {
-		t.Fatal(err)
-	} else if _, _, sigA, _ := s.buildHour(inA, scale, inA.TotalLambda); sigA == sigB {
-		t.Error("demand shift that changes segment reachability kept the same signature")
-	}
-}
 
 // simWeek builds a deterministic pseudo-diurnal week of inputs that walks
 // through every branch of the two-step algorithm: abundant and tight budgets,
@@ -104,20 +38,18 @@ func simWeek(seed int64, tightBudget, looseBudget float64) []HourInput {
 	return ins
 }
 
-// TestSolverCacheWeekMatchesCold is the tentpole's end-to-end equivalence
-// property: a seeded simulated week decided hour by hour with the solve cache
-// on (presolve + skeleton patching + basis/incumbent seeding) must reproduce
-// the cold system's decisions — same branch every hour and the same step
-// objective to within the solver's optimality gap — while actually exercising
-// the incremental machinery (warm starts taken, binaries presolved away,
-// skeleton hits). Run under -race in CI.
+// TestSolverCacheWeekMatchesCold is the solve cache's end-to-end equivalence
+// property: a seeded simulated week decided hour by hour with the cache on
+// (each solve kind's root basis carried to the next hour) must reproduce the
+// cold system's decisions — same branch every hour and the same step
+// objective to within the solver's optimality gap — while the carried bases
+// actually save LP work. Run under -race in CI.
 func TestSolverCacheWeekMatchesCold(t *testing.T) {
 	cold := paperSystem(t, Options{})
 	warm := paperSystem(t, Options{SolverCache: true})
 
 	// Calibrate the tight budget at half of an average hour's uncapped cost,
-	// so step 2 binds often and its budget row gives presolve something to
-	// prove about the expensive price segments.
+	// so step 2 binds often.
 	probe := HourInput{TotalLambda: 1.2e12, PremiumLambda: 6e11, DemandMW: demand3(), BudgetUSD: math.Inf(1)}
 	d, err := cold.DecideHour(probe)
 	if err != nil {
@@ -178,24 +110,12 @@ func TestSolverCacheWeekMatchesCold(t *testing.T) {
 		}
 	}
 
-	if warmStats.WarmStarted == 0 {
-		t.Error("a full week warm-started no solve — the cross-hour cache never seeded an incumbent")
-	}
-	if warmStats.PresolveFixed == 0 {
-		t.Error("a full week of tight-budget hours presolve-fixed no binaries")
-	}
-	if coldStats.WarmStarted != 0 || coldStats.PresolveFixed != 0 {
-		t.Errorf("cold system reports incremental-solving stats: %+v", coldStats)
-	}
-	if hits, _ := warm.cache.Stats(); hits == 0 {
-		t.Error("skeleton cache recorded no hits across a week of structurally similar hours")
-	}
-	// Node counts include the extra root re-solve that applies presolve
-	// fixings (one bookkeeping "node" per fixed solve), so compare the work
-	// that actually costs time: simplex pivots. Incremental solving must not
-	// make the week materially more expensive than cold.
-	if float64(warmStats.LPIterations) > 1.1*float64(coldStats.LPIterations) {
-		t.Errorf("warm week spent %d pivots, cold %d — incremental solving must not grow the search",
+	// The carried bases must engage: the week's root LPs start near their
+	// optima, so the warm week spends fewer simplex pivots than the cold one.
+	if warmStats.LPIterations >= coldStats.LPIterations {
+		t.Errorf("warm week spent %d pivots, cold %d — the carried root bases saved no LP work",
 			warmStats.LPIterations, coldStats.LPIterations)
 	}
+	t.Logf("pivots warm %d / cold %d, nodes warm %d / cold %d",
+		warmStats.LPIterations, coldStats.LPIterations, warmStats.Nodes, coldStats.Nodes)
 }

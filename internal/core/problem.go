@@ -33,12 +33,6 @@ type SolverStats struct {
 	Timeouts int
 	// WallTime is the wall-clock time spent inside MILP solves.
 	WallTime time.Duration
-	// PresolveFixed counts integer variables fixed by presolve before the
-	// searches started (0 unless the solve cache is enabled).
-	PresolveFixed int
-	// WarmStarted counts solves that accepted a previous hour's optimum as
-	// their starting incumbent.
-	WarmStarted int
 	// LPRefactorizations and LPBasisUpdates are the sparse LP core's basis
 	// work — LU rebuilds and eta-file updates — across the decision's
 	// relaxations. A relaxation the dense fallback answered adds to neither.
@@ -66,12 +60,8 @@ func (st *SolverStats) add(sol milp.Solution) {
 	st.LPIterations += sol.Pivots
 	st.Incumbents += sol.Incumbents
 	st.WallTime += sol.Elapsed
-	st.PresolveFixed += sol.PresolveFixed
 	st.LPRefactorizations += sol.LPRefactorizations
 	st.LPBasisUpdates += sol.LPBasisUpdates
-	if sol.WarmStarted {
-		st.WarmStarted++
-	}
 	if sol.Status == milp.TimeLimit {
 		st.Timeouts++
 	}
@@ -99,8 +89,6 @@ func (st *SolverStats) Accumulate(o SolverStats) {
 	st.Incumbents += o.Incumbents
 	st.Timeouts += o.Timeouts
 	st.WallTime += o.WallTime
-	st.PresolveFixed += o.PresolveFixed
-	st.WarmStarted += o.WarmStarted
 	st.LPRefactorizations += o.LPRefactorizations
 	st.LPBasisUpdates += o.LPBasisUpdates
 	st.DecompSolves += o.DecompSolves
@@ -239,18 +227,13 @@ type Decision struct {
 	Solver   SolverStats
 }
 
-// siteVars holds the MILP variable handles of one site, plus the indices of
-// the rows whose coefficients move hour to hour (the solve cache patches
-// exactly these on a cloned skeleton instead of rebuilding the model).
+// siteVars holds the MILP variable handles of one site.
 type siteVars struct {
-	x      int // scaled workload
-	y      int // on/off binary
-	enc    piecewise.Encoded
-	powRow int // affine power link: x coefficient is −a·scale
-	capRow int // capacity link: y coefficient is −xmax/scale
+	x   int // scaled workload
+	y   int // on/off binary
+	enc piecewise.Encoded
 
-	// Tariff-engine variables, −1 when absent. The solve cache never sees
-	// them: tariff hours bypass the skeleton cache (HourInput.hasTariffExtras).
+	// Tariff-engine variables, −1 when absent.
 	chg  int // battery charge draw, MW
 	dis  int // battery discharge, MW
 	peak int // demand-charge exceedance above the ledger's peak-so-far, MW
@@ -262,7 +245,7 @@ func lambdaScale(totalLambda float64) float64 {
 	return math.Max(1, totalLambda/1e3)
 }
 
-// buildBase assembles the shared MILP skeleton: per-site workload and on/off
+// buildBase assembles the MILP both steps share: per-site workload and on/off
 // variables, the affine power link, capacity rows and the price encoding.
 // maxLoad is the hour's total workload, which tightens the on/off big-M: the
 // raw site capacity can be ~1e4× the scaled workload for light hours, wide
@@ -315,7 +298,6 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 				{Var: y, Coef: -sm.affine.B},
 			}, lp.LE, 0)
 		}
-		powRow := m.NumConstraints()
 		m.AddConstraint(link, lp.EQ, 0)
 		if in.DemandChargeUSDPerMW > 0 {
 			// Demand-charge exceedance: e ≥ grid − peak-so-far, e ≥ 0. The
@@ -330,7 +312,6 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 		}
 		// Capacity: x ≤ min(xmax, λ)·y links load to the on/off state.
 		xmax := math.Min(sm.maxLambda, maxLoad)
-		capRow := m.NumConstraints()
 		m.AddConstraint([]lp.Term{
 			{Var: x, Coef: 1},
 			{Var: y, Coef: -xmax / scale},
@@ -339,7 +320,6 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 			// Outage: force the site off; the capacity row then pins x = 0.
 			m.AddConstraint([]lp.Term{{Var: y, Coef: 1}}, lp.EQ, 0)
 		}
-		sv.powRow, sv.capRow = powRow, capRow
 		vars[i] = sv
 	}
 	return m, vars, nil
@@ -456,28 +436,15 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 		return Decision{}, fmt.Errorf("%w: negative workload %v", ErrBadInput, lambda)
 	}
 	scale := lambdaScale(lambda)
-	m, vars, sig, err := s.buildHour(in, scale, lambda)
+	m, vars, err := s.buildMinCost(in, lambda, scale)
 	if err != nil {
 		return Decision{}, err
 	}
-	// Σ x = λ: all arrivals must be served in step 1.
-	terms := make([]lp.Term, len(vars))
-	for i, v := range vars {
-		terms[i] = lp.Term{Var: v.x, Coef: 1}
-	}
-	m.AddConstraint(terms, lp.EQ, lambda/scale)
-	for _, t := range s.costTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)+t.Coef)
-	}
-	for _, t := range batteryValueTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)+t.Coef)
-	}
-	so = s.warmOptions(so, kind, sig, m, vars, in, scale, lambda, true, math.Inf(1))
-	sol := m.SolveWithOptions(so)
+	sol := m.SolveWithOptions(s.warmOptions(so, kind, m, in))
 	if stats != nil {
 		stats.add(sol)
 	}
-	s.rememberSolve(kind, sig, sol, m, vars, scale)
+	s.rememberSolve(kind, sol, m, in)
 	switch sol.Status {
 	case milp.Optimal:
 	case milp.TimeLimit:
@@ -511,10 +478,21 @@ func (s *System) WriteHourModel(w io.Writer, in HourInput, lambda float64) error
 	if lambda < 0 || math.IsNaN(lambda) {
 		return fmt.Errorf("%w: negative workload %v", ErrBadInput, lambda)
 	}
-	scale := lambdaScale(lambda)
-	m, vars, err := s.buildBase(in, scale, lambda)
+	m, _, err := s.buildMinCost(in, lambda, lambdaScale(lambda))
 	if err != nil {
 		return err
+	}
+	return lpparse.Write(w, m)
+}
+
+// buildMinCost builds step 1's model for lambda requests/hour: the shared
+// model, the Σ x = λ row that serves every arrival, and the cost and
+// battery-value objective. minimizeCost solves it and WriteHourModel dumps
+// it, so the dump is by construction the model step 1 solves.
+func (s *System) buildMinCost(in HourInput, lambda, scale float64) (*milp.Problem, []siteVars, error) {
+	m, vars, err := s.buildBase(in, scale, lambda)
+	if err != nil {
+		return nil, nil, err
 	}
 	terms := make([]lp.Term, len(vars))
 	for i, v := range vars {
@@ -527,7 +505,7 @@ func (s *System) WriteHourModel(w io.Writer, in HourInput, lambda float64) error
 	for _, t := range batteryValueTerms(vars, in) {
 		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)+t.Coef)
 	}
-	return lpparse.Write(w, m)
+	return m, vars, nil
 }
 
 // MaximizeThroughput solves step 2 (paper eq. 8–9): admit as many requests
@@ -543,7 +521,7 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 		return Decision{}, err
 	}
 	scale := lambdaScale(in.TotalLambda)
-	m, vars, sig, err := s.buildHour(in, scale, in.TotalLambda)
+	m, vars, err := s.buildBase(in, scale, in.TotalLambda)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -570,12 +548,11 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 	for _, t := range batteryValueTerms(vars, in) {
 		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
 	}
-	so = s.warmOptions(so, kind, sig, m, vars, in, scale, in.TotalLambda, false, in.BudgetUSD)
-	sol := m.SolveWithOptions(so)
+	sol := m.SolveWithOptions(s.warmOptions(so, kind, m, in))
 	if stats != nil {
 		stats.add(sol)
 	}
-	s.rememberSolve(kind, sig, sol, m, vars, scale)
+	s.rememberSolve(kind, sol, m, in)
 	switch {
 	case sol.Status == milp.Optimal:
 	case sol.Status == milp.TimeLimit && len(sol.X) > 0:

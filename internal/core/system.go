@@ -89,14 +89,14 @@ type Options struct {
 	// from the exact MILP; 0 → 20. At or below the threshold the exact
 	// branch-and-bound remains the oracle.
 	DecomposeThreshold int
-	// SolverCache enables incremental hour-over-hour solving: the MILP
-	// presolve runs before every search, the hour-invariant model skeleton is
-	// memoized (subsequent hours clone it and patch only the changed
-	// coefficients), and each solve is seeded with the previous hour's
-	// optimal basis and integer solution (re-checked for feasibility) as the
-	// starting incumbent. Purely an acceleration: every seed is screened
-	// before use, so decisions are bitwise-equivalent in objective to cold
-	// solves up to the solver's optimality gap.
+	// SolverCache carries each solve kind's root LP basis from one hour to
+	// the next: the root LP of an hour whose model has the same variable and
+	// row counts as the kind's last optimal solve crashes from that solve's
+	// basis instead of starting cold. Hours with tariff extras neither read
+	// nor write it. Decisions match cold solves up to the solver's
+	// optimality gap, but the basis an hour starts from depends on which
+	// hour of its kind solved last, so answers can move in the last ulps
+	// with solve order; that is why it stays off by default.
 	SolverCache bool
 }
 
@@ -140,8 +140,8 @@ type System struct {
 	metrics atomic.Pointer[Metrics] // optional instrumentation (see SetMetrics)
 	// cache is the cross-hour solve cache (nil unless Options.SolverCache).
 	// It is internally locked, so the concurrency contract above still holds:
-	// concurrent decisions race only on which hour's optimum seeds the next
-	// solve, never on correctness.
+	// concurrent decisions race only on which hour's root basis the next
+	// solve crashes from, never on correctness.
 	cache *SolveCache
 }
 
@@ -156,7 +156,7 @@ func NewSystem(dcs []*dcmodel.Site, policies []pricing.Policy, opts Options) (*S
 	}
 	s := &System{opts: opts}
 	if opts.SolverCache {
-		s.cache = newSolveCache()
+		s.cache = &SolveCache{}
 	}
 	for i, dc := range dcs {
 		if err := dc.Validate(); err != nil {
@@ -331,8 +331,8 @@ func (in HourInput) hasBatteries() bool {
 }
 
 // hasTariffExtras reports whether the hour uses any tariff component beyond
-// the energy-only model — the condition under which the solve cache's
-// skeleton (built without the extra variables and rows) must be bypassed.
+// the energy-only model — the condition under which the solve cache is
+// bypassed.
 func (in HourInput) hasTariffExtras() bool {
 	return in.DemandChargeUSDPerMW > 0 || in.twoSettlement() || in.hasBatteries()
 }

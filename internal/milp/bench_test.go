@@ -42,10 +42,8 @@ func BenchmarkPaperScaleBnB(b *testing.B) {
 		})
 		// Cold vs warm hour-over-hour re-solve on the paper-hour family
 		// (NewPaperHour closes to proven optimality, unlike the knapsack):
-		// hour 1's optimum and root basis seed hour 2's solve, plus presolve
-		// — the incremental path the core solve cache drives in production.
-		// cmd/benchmilp's incremental section measures the same comparison
-		// across a full hour sequence.
+		// hour 1's root basis crashes hour 2's root LP, the one layer the
+		// core solve cache carries across hours.
 		seed := NewPaperHour(sites, PaperHourBudget(sites, 1)).
 			SolveWithOptions(Options{MaxNodes: maxNodes})
 		if seed.Status != Optimal {
@@ -54,8 +52,6 @@ func BenchmarkPaperScaleBnB(b *testing.B) {
 		for _, mode := range []string{"cold", "warm"} {
 			opt := Options{MaxNodes: maxNodes}
 			if mode == "warm" {
-				opt.Presolve = true
-				opt.StartX = seed.X
 				opt.StartBasis = seed.RootBasis
 			}
 			b.Run(fmt.Sprintf("sites=%d/resolve=%s", sites, mode), func(b *testing.B) {

@@ -96,8 +96,8 @@ type FleetInstance struct {
 // power variable p_k with selection binary z_k and the p_k ∈ [lo·z, hi·z]
 // rows, the p = Σ p_k link, Σ z_k = 1, the site spend cap, and finally the
 // fleet budget row. Variable and constraint order is part of the contract —
-// warm-start and presolve benchmarks rely on instances being reproducible
-// across runs and machines.
+// the root-basis benchmark and the LP oracle tests rely on instances being
+// reproducible across runs and machines.
 func (fi FleetInstance) Build() *Problem {
 	m := NewProblem()
 	m.SetMaximize(true)
@@ -153,10 +153,10 @@ func NewPaperHourFleet(sites int, budget float64) FleetInstance {
 // spend cap and a shared fleet budget row. The objective maximizes throughput
 // with a small cost tie-break. The per-site cap admits a full segment 3 but
 // not the top segment's minimum spend, so the LP relaxation buys fractional
-// z4 capacity with the cap's slack while presolve can prove z4 = 0 at every
-// site — fixing it genuinely tightens the root bound. The construction is a
-// pure function of (sites, budget), so cold-vs-warm comparisons across runs
-// and machines see identical instances.
+// z4 capacity with the cap's slack although no integer point can select z4:
+// the root bound is loose and branching has real work to do. The
+// construction is a pure function of (sites, budget), so cold-vs-warm
+// comparisons across runs and machines see identical instances.
 func NewPaperHour(sites int, budget float64) *Problem {
 	return NewPaperHourFleet(sites, budget).Build()
 }

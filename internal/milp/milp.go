@@ -51,16 +51,6 @@ func (p *Problem) AddBinVar(name string, objCoef float64) int {
 	return v
 }
 
-// Clone returns a deep copy of the MILP, so the copy can be patched (e.g.
-// per-hour coefficients on a cached model skeleton) or gain extra rows
-// without disturbing the original.
-func (p *Problem) Clone() *Problem {
-	return &Problem{
-		Problem: p.Problem.Clone(),
-		integer: append([]bool(nil), p.integer...),
-	}
-}
-
 // SetInteger marks or unmarks integrality of an existing variable.
 func (p *Problem) SetInteger(v int, isInt bool) { p.integer[v] = isInt }
 
@@ -123,12 +113,6 @@ type Solution struct {
 	Incumbents         int           // times the incumbent improved during the search
 	Elapsed            time.Duration // wall time of the solve
 	Gap                float64       // |bound − incumbent| remaining at stop (0 when Optimal)
-	// PresolveFixed counts integer variables fixed by Options.Presolve before
-	// the search started (0 when presolve was off or fixed nothing).
-	PresolveFixed int
-	// WarmStarted reports that Options.StartX passed its feasibility screen
-	// and seeded the search as the starting incumbent.
-	WarmStarted bool
 	// RootBasis is the optimal simplex basis of the base LP relaxation (nil
 	// when the root did not solve to optimality). Feeding it back as
 	// Options.StartBasis on a structurally identical problem — the next hour
@@ -168,20 +152,6 @@ type Options struct {
 	// LP solver's default. A root that exhausts the cap stops the search with
 	// Status Limit, no incumbent and Gap +Inf.
 	MaxLPPivots int
-	// Presolve runs bound-propagation presolve before the search, fixing
-	// integer variables whose value is forced by the constraints (see
-	// Problem.Presolve). The fixings are exact — every integer-feasible point
-	// satisfies them — so the reported optimum is unchanged; only the tree
-	// shrinks. Solution.PresolveFixed reports how many variables were fixed.
-	Presolve bool
-	// StartX, when non-nil, proposes a starting incumbent — typically the
-	// previous hour's optimum re-checked against this hour's constraints. It
-	// is used only if it has the right length, its integer entries are
-	// integral within the integrality tolerance, every entry is finite, and the snapped point
-	// satisfies every constraint; otherwise it is silently ignored, so a
-	// stale or infeasible seed can never corrupt the solve. An accepted seed
-	// gives the search an immediate primal bound (Solution.WarmStarted).
-	StartX []float64
 	// StartBasis, when non-nil, is forwarded to the root LP solve as
 	// lp.Options.CrashBasis — usually Solution.RootBasis of the previous
 	// hour's solve. An unusable basis falls back to the cold two-phase solve.
@@ -243,30 +213,14 @@ func (p *Problem) Solve() Solution { return p.SolveWithOptions(Options{}) }
 // SolveWithOptions is Solve with explicit options. The search runs on the
 // calling goroutine, so a solve is deterministic: the same problem and
 // options explore the same tree and return the same Solution, node and pivot
-// counts included. It starts from a root stage — one base LP solve
-// (optionally crashed from StartBasis), optional presolve fixings applied as
-// permanent root bounds, and an optional StartX incumbent — then runs the
-// best-first search.
+// counts included. It solves the root LP once (crashed from StartBasis when
+// one is given), then runs the best-first search from it.
 func (p *Problem) SolveWithOptions(opt Options) Solution {
 	start := time.Now()
 	opt = opt.withDefaults()
 	sol := p.solveFromRoot(opt, start)
 	sol.Elapsed = time.Since(start)
 	return sol
-}
-
-// rootState is everything the best-first search inherits from the root
-// stage.
-type rootState struct {
-	warm      *lp.WarmStart
-	root      lp.Solution // relaxation at the root, fixings applied
-	fix       []branch    // permanent bounds from presolve (every node inherits them)
-	seed      []float64   // accepted starting incumbent, nil when none
-	seedObj   float64     // seed objective, minimization sense (+Inf when none)
-	fixed     int         // integer variables fixed by presolve
-	rootBasis []int       // optimal basis of the base LP, for the next hour
-	nodes     int
-	eff       effort
 }
 
 // effort aggregates the LP work spent across relaxation solves: simplex
@@ -304,96 +258,32 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 	if p.Maximizing() {
 		sign = -1 // internal bounds are kept in minimization sense
 	}
-	rs := rootState{seedObj: math.Inf(1)}
-
-	if opt.Presolve {
-		pr := p.Presolve()
-		if pr.Infeasible {
-			return Solution{Status: Infeasible, Nodes: 1, PresolveFixed: pr.Fixed}
-		}
-		rs.fix = pr.fixings()
-		rs.fixed = pr.Fixed
-	}
 
 	// Solve the root once and keep its optimal basis; every node's relaxation
 	// (root + branch bound rows) is then re-solved by the warm-started dual
 	// simplex — the same strategy lp_solve's branch-and-bound uses.
 	warm, root := p.Problem.SolveForWarmStart(lp.Options{MaxPivots: opt.MaxLPPivots, CrashBasis: opt.StartBasis})
-	rs.nodes = 1
-	rs.eff.absorb(root)
+	var eff effort
+	eff.absorb(root)
 	switch root.Status {
 	case lp.Unbounded:
-		return rs.eff.stamp(Solution{Status: Unbounded, Nodes: rs.nodes, PresolveFixed: rs.fixed})
+		return eff.stamp(Solution{Status: Unbounded, Nodes: 1})
 	case lp.Infeasible:
-		return rs.eff.stamp(Solution{Status: Infeasible, Nodes: rs.nodes, PresolveFixed: rs.fixed})
+		return eff.stamp(Solution{Status: Infeasible, Nodes: 1})
 	case lp.IterLimit:
 		// Through finish, so Gap reads +Inf: there is no incumbent, and the
 		// zero-value Gap of a bare Solution would tell callers "proven
 		// optimal" when nothing was proven at all.
-		s := p.finish(Limit, nil, math.Inf(1), sign, rs.nodes, rs.eff, nil)
-		s.PresolveFixed = rs.fixed
-		return s
+		return p.finish(Limit, nil, math.Inf(1), sign, 1, eff, nil)
 	}
-	rs.warm, rs.root = warm, root
-	rs.rootBasis = warm.Basis()
-
-	if len(rs.fix) > 0 {
-		fs := warm.ReSolve(branchRows(rs.fix))
-		rs.nodes++
-		rs.eff.absorb(fs)
-		switch fs.Status {
-		case lp.Optimal:
-			rs.root = fs
-		case lp.Infeasible:
-			// The fixings hold at every integer-feasible point, so an
-			// LP-infeasible fixed system means the MILP is infeasible.
-			return rs.eff.stamp(Solution{Status: Infeasible, Nodes: rs.nodes,
-				PresolveFixed: rs.fixed, RootBasis: rs.rootBasis})
-		default:
-			// Numerical trouble under the fixing rows: search from the plain
-			// root instead — correctness over speed.
-			rs.fix = nil
-		}
-	}
-
-	if opt.StartX != nil {
-		if x, obj, ok := p.acceptStart(opt.StartX); ok {
-			rs.seed, rs.seedObj = x, sign*obj
-		}
-	}
-
-	sol := p.search(opt, start, rs)
-	sol.PresolveFixed = rs.fixed
-	sol.WarmStarted = rs.seed != nil
-	sol.RootBasis = rs.rootBasis
+	sol := p.search(opt, start, warm, root, eff)
+	sol.RootBasis = warm.Basis()
 	return sol
 }
 
-// acceptStart screens a proposed starting incumbent: right length, finite,
-// integral within intTol on the integer variables, and feasible after snapping
-// those to exact integers. Returns the snapped point and its objective in the
-// problem's own direction.
-func (p *Problem) acceptStart(x0 []float64) ([]float64, float64, bool) {
-	if len(x0) != p.NumVars() {
-		return nil, 0, false
-	}
-	for v, xv := range x0 {
-		if math.IsNaN(xv) || math.IsInf(xv, 0) {
-			return nil, 0, false
-		}
-		if p.integer[v] && math.Abs(xv-math.Round(xv)) > intTol {
-			return nil, 0, false
-		}
-	}
-	x := roundIntegral(x0, p.integer)
-	if len(p.Problem.CheckFeasible(x, 1e-6)) != 0 {
-		return nil, 0, false
-	}
-	return x, p.Problem.Eval(x), true
-}
-
-// search is the best-first branch and bound from the root stage's relaxation.
-func (p *Problem) search(opt Options, start time.Time, rs rootState) Solution {
+// search is the best-first branch and bound from the root relaxation; eff
+// already holds the root solve's LP work.
+func (p *Problem) search(opt Options, start time.Time, warm *lp.WarmStart, root lp.Solution, eff effort) Solution {
 	var deadline time.Time
 	if opt.Deadline > 0 {
 		deadline = start.Add(opt.Deadline)
@@ -405,14 +295,12 @@ func (p *Problem) search(opt Options, start time.Time, rs rootState) Solution {
 	}
 
 	var (
-		incumbent    = rs.seed
-		incumbentObj = rs.seedObj // minimization sense
-		incumbents   int          // incumbent improvements (exposed for observability)
-		nodes        = rs.nodes
-		eff          = rs.eff
+		incumbent    []float64
+		incumbentObj = math.Inf(1) // minimization sense
+		incumbents   int           // incumbent improvements (exposed for observability)
+		nodes        = 1
 		h            nodeHeap
 	)
-	warm, root := rs.warm, rs.root
 	relax := func(bs []branch) lp.Solution {
 		return warm.ReSolve(branchRows(bs))
 	}
@@ -447,7 +335,7 @@ func (p *Problem) search(opt Options, start time.Time, rs rootState) Solution {
 		}
 		heap.Push(&h, &node{bound: bound, bounds: bs, sol: sol, pseudo: pseudo})
 	}
-	process(rs.fix, root)
+	process(nil, root)
 
 	for h.Len() > 0 {
 		if nodes >= opt.MaxNodes {

@@ -270,3 +270,70 @@ func TestStatusString(t *testing.T) {
 		}
 	}
 }
+
+// TestStartBasisMatchesColdProperty is the solver-level equivalence property
+// behind the cross-hour root basis: a previous optimum's RootBasis fed back as
+// StartBasis must return the same objective as a cold solve, across
+// randomized instances and a perturbed "next hour" of each.
+func TestStartBasisMatchesColdProperty(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 40}
+	f := func(seed int64) bool {
+		build := func() (*Problem, int) {
+			r := rand.New(rand.NewSource(seed))
+			nb := 8 + r.Intn(8)
+			nc := r.Intn(4)
+			p, _ := randomBinaryProblem(r, nb, nc)
+			return p, nb
+		}
+		p, nb := build()
+
+		cold := p.SolveWithOptions(Options{})
+		warm := p.SolveWithOptions(Options{StartBasis: cold.RootBasis})
+		if warm.Status != cold.Status {
+			t.Logf("seed %d: warm status %v vs cold %v", seed, warm.Status, cold.Status)
+			return false
+		}
+		if cold.Status != Optimal {
+			return true
+		}
+		tol := 1e-5 * (1 + math.Abs(cold.Objective))
+		if !near(warm.Objective, cold.Objective, tol) {
+			t.Logf("seed %d: warm objective %v vs cold %v", seed, warm.Objective, cold.Objective)
+			return false
+		}
+		if v := p.CheckFeasible(warm.X, 1e-6); len(v) != 0 {
+			t.Logf("seed %d: warm incumbent infeasible: %v", seed, v)
+			return false
+		}
+
+		// "Next hour": the same instance with its last row tightened a bit,
+		// crashed from this hour's root basis, which may no longer be
+		// optimal or even feasible there and must never corrupt the solve.
+		q, _ := build()
+		if q.NumConstraints() > nb { // rows beyond the per-binary ≤1 bounds exist
+			c := q.Problem.Constraint(q.NumConstraints() - 1)
+			q.Problem.SetRHS(q.NumConstraints()-1, c.RHS*0.9)
+		}
+		qc := q.SolveWithOptions(Options{})
+		qw := q.SolveWithOptions(Options{StartBasis: cold.RootBasis})
+		if qw.Status != qc.Status {
+			t.Logf("seed %d: next-hour warm status %v vs cold %v", seed, qw.Status, qc.Status)
+			return false
+		}
+		if qc.Status == Optimal {
+			tol := 1e-5 * (1 + math.Abs(qc.Objective))
+			if !near(qw.Objective, qc.Objective, tol) {
+				t.Logf("seed %d: next-hour warm objective %v vs cold %v", seed, qw.Objective, qc.Objective)
+				return false
+			}
+			if v := q.CheckFeasible(qw.X, 1e-6); len(v) != 0 {
+				t.Logf("seed %d: next-hour warm incumbent infeasible: %v", seed, v)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}

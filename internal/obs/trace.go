@@ -68,11 +68,6 @@ type SolverTrace struct {
 	Incumbents int     `json:"incumbents"`
 	Timeouts   int     `json:"timeouts,omitempty"`
 	WallMS     float64 `json:"wallMS"`
-	// PresolveFixed counts integer variables fixed before branch-and-bound;
-	// WarmStarted counts solves seeded with the previous hour's optimum.
-	// Both stay 0 unless the solve cache is enabled.
-	PresolveFixed int `json:"presolveFixed,omitempty"`
-	WarmStarted   int `json:"warmStarted,omitempty"`
 	// LPRefactorizations / LPBasisUpdates are the sparse LP core's basis
 	// work (LU rebuilds, eta-file updates).
 	LPRefactorizations int `json:"lpRefactorizations,omitempty"`

@@ -566,9 +566,6 @@ func decisionTrace(cfg Config, h int, in core.HourInput, dec core.Decision, real
 			Timeouts:   dec.Solver.Timeouts,
 			WallMS:     float64(dec.Solver.WallTime.Microseconds()) / 1e3,
 
-			PresolveFixed: dec.Solver.PresolveFixed,
-			WarmStarted:   dec.Solver.WarmStarted,
-
 			LPRefactorizations: dec.Solver.LPRefactorizations,
 			LPBasisUpdates:     dec.Solver.LPBasisUpdates,
 
