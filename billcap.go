@@ -30,7 +30,6 @@ import (
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
 	"billcap/internal/grid"
-	"billcap/internal/hetero"
 	"billcap/internal/hierarchy"
 	"billcap/internal/pricing"
 	"billcap/internal/sim"
@@ -163,24 +162,16 @@ func NewMinOnly(dcs []*Site, policies []Policy, v MinOnlyVariant) (Decider, erro
 // ledger.
 func Run(s Scenario, d Decider) (Result, error) { return sim.Run(s, d) }
 
-// Heterogeneous-fleet extension (paper §IX future work).
-type (
-	// HeteroSite is a data center mixing several server classes.
-	HeteroSite = hetero.Site
-	// ServerClass is one homogeneous pool inside a HeteroSite.
-	ServerClass = hetero.ServerClass
-	// HeteroNetwork optimizes per-class dispatch across HeteroSites.
-	HeteroNetwork = hetero.Network
-)
+// Heterogeneous-fleet extension (paper §IX future work): a Site with
+// Classes mixes several server generations and runs on System like any
+// other site.
+
+// ServerClass is one homogeneous server pool inside a multi-class Site.
+type ServerClass = dcmodel.ServerClass
 
 // PaperHeteroSites returns the paper's three locations refitted as
-// partially upgraded, heterogeneous fleets.
-func PaperHeteroSites() []*HeteroSite { return hetero.PaperHeteroSites() }
-
-// NewHeteroNetwork assembles the heterogeneous optimizer.
-func NewHeteroNetwork(sites []*HeteroSite, policies []Policy) (*HeteroNetwork, error) {
-	return hetero.NewNetwork(sites, policies)
-}
+// partially upgraded, multi-class fleets.
+func PaperHeteroSites() []*Site { return dcmodel.PaperHeteroSites() }
 
 // Hierarchical-capping extension (paper §IX future work).
 type (

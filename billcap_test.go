@@ -103,11 +103,11 @@ func TestExtensionFacades(t *testing.T) {
 	if len(sites) != 3 {
 		t.Fatalf("hetero sites = %d", len(sites))
 	}
-	hn, err := billcap.NewHeteroNetwork(sites, billcap.PaperPolicies(billcap.Policy1))
+	hs, err := billcap.NewSystem(sites, billcap.PaperPolicies(billcap.Policy1), billcap.SystemOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hn.MaxThroughput() <= 0 {
+	if hs.MaxThroughput() <= 0 {
 		t.Error("hetero capacity not positive")
 	}
 

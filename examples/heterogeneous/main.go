@@ -10,47 +10,53 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"billcap"
 )
 
 func main() {
 	sites := billcap.PaperHeteroSites()
-	net, err := billcap.NewHeteroNetwork(sites, billcap.PaperPolicies(billcap.Policy1))
+	sys, err := billcap.NewSystem(sites, billcap.PaperPolicies(billcap.Policy1), billcap.SystemOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	demand := []float64{170, 190, 150}
-	capacity := net.MaxThroughput()
+	capacity := sys.MaxThroughput()
 	fmt.Printf("fleet capacity: %.3g req/h across %d heterogeneous sites\n\n", capacity, len(sites))
 
 	lam := 0.6 * capacity
-	alloc, err := net.MinimizeCost(lam, demand)
+	in := billcap.HourInput{TotalLambda: lam, DemandMW: demand, BudgetUSD: math.Inf(1)}
+	dec, err := sys.MinimizeCost(in, lam, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("dispatching %.3g req/h (60%% of capacity):\n", lam)
 	for i, s := range sites {
-		fmt.Printf("  %-6s λ=%.3g req/h, planned %.1f MW\n", s.Name, alloc.LambdaBySite[i], alloc.PowerMW[i])
-		plans, err := s.Plans()
+		a := dec.Sites[i]
+		fmt.Printf("  %-6s λ=%.3g req/h, planned %.1f MW\n", s.Name, a.Lambda, a.PowerMW)
+		plans, err := s.Plans(sys.Options().Scope)
 		if err != nil {
 			log.Fatal(err)
 		}
 		for c, pl := range plans {
-			if alloc.LambdaByClass[i][c] > 0 {
+			if l := a.ClassLambda[c]; l > 0 {
 				fmt.Printf("          %-13s %.3g req/h (%.1f%% of the class)\n",
-					pl.Class.Name, alloc.LambdaByClass[i][c],
-					100*alloc.LambdaByClass[i][c]/pl.MaxLambda)
+					pl.Class.Name, l, 100*l/pl.MaxLambda)
 			}
 		}
 	}
 
-	real, err := net.Realize(alloc.LambdaBySite, demand)
+	real, err := sys.Realize(dec.Lambdas(), demand)
 	if err != nil {
 		log.Fatal(err)
 	}
+	servers := 0
+	for _, sr := range real.Sites {
+		servers += sr.Breakdown.Servers
+	}
 	fmt.Printf("\nclass-aware plan: predicted $%.0f/h, billed $%.0f/h (%d servers active)\n",
-		alloc.CostUSD, real.BillUSD(), real.Servers)
+		dec.PredictedCostUSD, real.BillUSD(), servers)
 
 	// The naive alternative: split by site capacity, ignore classes' order.
 	naive := make([]float64, len(sites))
@@ -61,7 +67,7 @@ func main() {
 		}
 		naive[i] = lam * siteMax / capacity
 	}
-	nv, err := net.Realize(naive, demand)
+	nv, err := sys.Realize(naive, demand)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
@@ -203,4 +205,59 @@ func TestPanickingRouteStaysInstrumented(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Fatalf("instrumented panic lost the envelope: %v %q", err, rec.Body.String())
 	}
+}
+
+// TestHugeLoadDecideAnswers poses loads seven and ten orders of magnitude
+// above the fleet's capacity. Their root relaxations once spun the LP
+// forever on weak pivots, holding the request (and, on a committing
+// server, the hour lock) past any timeout. Resilient requests must answer
+// 200 on a degraded rung, and plain ones within the status contract, each
+// inside 2 s.
+func TestHugeLoadDecideAnswers(t *testing.T) {
+	s, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closed only on success: Close waits for in-flight handlers, and a
+	// regression leaves one spinning.
+	ts := httptest.NewServer(s.Handler())
+	for _, lam := range []float64{1e19, 1e22} {
+		for _, resilient := range []bool{true, false} {
+			req := DecideRequest{
+				TotalLambda: lam,
+				DemandMW:    []float64{170, 190, 150},
+				TimeoutMS:   200,
+				Resilient:   resilient,
+			}
+			done := make(chan struct{})
+			var dec DecideResponse
+			var status int
+			go func() {
+				defer close(done)
+				buf, _ := json.Marshal(req)
+				resp, err := http.Post(ts.URL+"/v1/decide", "application/json", bytes.NewReader(buf))
+				if err != nil {
+					return
+				}
+				defer resp.Body.Close()
+				status = resp.StatusCode
+				_ = json.NewDecoder(resp.Body).Decode(&dec)
+			}()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("λ=%g resilient=%v: no answer within 2 s", lam, resilient)
+			}
+			switch {
+			case resilient && (status != http.StatusOK || dec.Degraded == ""):
+				t.Errorf("λ=%g: resilient decide = %d on rung %q, want 200 degraded", lam, status, dec.Degraded)
+			case !resilient && status != http.StatusOK && status != http.StatusInternalServerError &&
+				status != http.StatusGatewayTimeout:
+				t.Errorf("λ=%g: plain decide = %d", lam, status)
+			case status == http.StatusOK && dec.Served > lam:
+				t.Errorf("λ=%g: served %v", lam, dec.Served)
+			}
+		}
+	}
+	ts.Close()
 }

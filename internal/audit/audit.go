@@ -61,6 +61,17 @@ type Site struct {
 	BatMaxDischargeMW float64
 	BatEfficiency     float64
 	BatSoCMWh         float64
+
+	// Classes, when set, replace MWPerLambda and IdleMW with one affine
+	// model per server class; claims then split their load in ClassLambda.
+	Classes []Class
+}
+
+// Class is the auditor's copy of one server class of a multi-class site.
+type Class struct {
+	MaxLambda   float64 // SLA admission limit of the class, requests/hour
+	MWPerLambda float64 // affine power model slope (A)
+	IdleMW      float64 // affine power model intercept (B), paid while on
 }
 
 // Claim is what the solver asserts for one site. GridMW/ChargeMW/DischargeMW
@@ -78,6 +89,8 @@ type Claim struct {
 	DischargeMW float64
 	EnergyUSD   float64 // Rate × GridMW (0 = unclaimed, derived from CostUSD)
 	DemandUSD   float64 // DemandRate × max(0, GridMW − PeakMW)
+
+	ClassLambda []float64 // per-class load of a multi-class site, keyed like Site.Classes
 }
 
 // Input is the hour's contract: the load to place and the money to place it
@@ -126,9 +139,19 @@ func Check(sites []Site, claims []Claim, in Input) error {
 			return fmt.Errorf("audit: site %d: negative claim λ=%v p=%v rate=%v cost=%v grid=%v c=%v g=%v",
 				i, c.Lambda, c.PowerMW, c.Rate, c.CostUSD, c.GridMW, c.ChargeMW, c.DischargeMW)
 		}
+		classLoad := 0.0
+		for k, l := range c.ClassLambda {
+			if bad(l) || l < 0 {
+				return fmt.Errorf("audit: site %d: class %d claims λ=%v", i, k, l)
+			}
+			classLoad += l
+		}
+		if len(c.ClassLambda) != len(s.Classes) {
+			return fmt.Errorf("audit: site %d: %d class loads for %d classes", i, len(c.ClassLambda), len(s.Classes))
+		}
 		if !c.On {
 			if c.Lambda > 0 || c.PowerMW > 0 || c.CostUSD > 0 ||
-				c.GridMW > 0 || c.ChargeMW > 0 || c.DischargeMW > 0 {
+				c.GridMW > 0 || c.ChargeMW > 0 || c.DischargeMW > 0 || classLoad > 0 {
 				return fmt.Errorf("audit: site %d: off but carries λ=%v p=%v cost=%v grid=%v",
 					i, c.Lambda, c.PowerMW, c.CostUSD, c.GridMW)
 			}
@@ -140,9 +163,8 @@ func Check(sites []Site, claims []Claim, in Input) error {
 		if c.Lambda > s.MaxLambda*(1+relTol)+relTol {
 			return fmt.Errorf("audit: site %d: λ=%v exceeds SLA limit %v", i, c.Lambda, s.MaxLambda)
 		}
-		wantP := s.MWPerLambda*c.Lambda + s.IdleMW
-		if !close2(c.PowerMW, wantP) {
-			return fmt.Errorf("audit: site %d: claimed power %v MW, model says %v MW", i, c.PowerMW, wantP)
+		if err := checkPower(s, c, classLoad); err != nil {
+			return fmt.Errorf("audit: site %d: %w", i, err)
 		}
 		// Legacy energy-only claims assert IT power without a grid figure:
 		// no battery action means grid = IT.
@@ -234,6 +256,39 @@ func Check(sites []Site, claims []Claim, in Input) error {
 	if !in.BudgetExempt && bill > in.BudgetUSD*(1+relTol)+relTol*(1+math.Abs(bill)) {
 		return fmt.Errorf("audit: bill %v (dispatch %v + settlement %v) over budget %v",
 			bill, totalCost, settlement, in.BudgetUSD)
+	}
+	return nil
+}
+
+// checkPower re-derives the claimed IT draw from the power model. On a
+// multi-class site every class must sit within its own SLA limit, the class
+// loads must add up to the site's, and the draw must be the loaded classes'
+// Σ A·λ + B, plus at most the idle power of classes switched on unloaded.
+func checkPower(s Site, c Claim, classLoad float64) error {
+	if len(s.Classes) == 0 {
+		if wantP := s.MWPerLambda*c.Lambda + s.IdleMW; !close2(c.PowerMW, wantP) {
+			return fmt.Errorf("claimed power %v MW, model says %v MW", c.PowerMW, wantP)
+		}
+		return nil
+	}
+	if !close2(classLoad, c.Lambda) {
+		return fmt.Errorf("class loads sum to %v, site claims λ=%v", classLoad, c.Lambda)
+	}
+	loaded, idle := 0.0, 0.0
+	for k, cl := range s.Classes {
+		l := c.ClassLambda[k]
+		if l > cl.MaxLambda*(1+relTol)+relTol {
+			return fmt.Errorf("class %d: λ=%v exceeds SLA limit %v", k, l, cl.MaxLambda)
+		}
+		if l > 0 {
+			loaded += cl.MWPerLambda*l + cl.IdleMW
+		} else {
+			idle += cl.IdleMW
+		}
+	}
+	if c.PowerMW < loaded && !close2(c.PowerMW, loaded) ||
+		c.PowerMW > loaded+idle && !close2(c.PowerMW, loaded+idle) {
+		return fmt.Errorf("claimed power %v MW, class loads say %v MW (+%v MW idle classes)", c.PowerMW, loaded, idle)
 	}
 	return nil
 }

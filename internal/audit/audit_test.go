@@ -146,3 +146,76 @@ func TestCheckAllOffIsFeasibleWhenNotServeAll(t *testing.T) {
 		t.Fatalf("all-off shed plan rejected: %v", err)
 	}
 }
+
+// twoClassSite is oneSite with its load split over two server classes.
+func twoClassSite() Site {
+	s := oneSite()[0]
+	s.MWPerLambda, s.IdleMW = 0, 0
+	s.Classes = []Class{
+		{MaxLambda: 40, MWPerLambda: 0.04, IdleMW: 0.5},
+		{MaxLambda: 60, MWPerLambda: 0.06, IdleMW: 0.5},
+	}
+	return s
+}
+
+// classClaim derives a consistent claim from per-class loads.
+func classClaim(s Site, loads ...float64) Claim {
+	c := Claim{On: true, ClassLambda: loads}
+	for k, l := range loads {
+		c.Lambda += l
+		if l > 0 {
+			c.PowerMW += s.Classes[k].MWPerLambda*l + s.Classes[k].IdleMW
+		}
+	}
+	c.Rate = s.Price(s.DemandMW + c.PowerMW)
+	c.CostUSD = c.Rate * c.PowerMW
+	return c
+}
+
+func TestCheckMultiClass(t *testing.T) {
+	s := twoClassSite()
+	in := Input{TotalLambda: 60, BudgetUSD: 1000, ServeAll: true}
+	good := classClaim(s, 40, 20)
+	if err := Check([]Site{s}, []Claim{good}, in); err != nil {
+		t.Fatalf("consistent claim rejected: %v", err)
+	}
+	// A class switched on without load may add its idle power.
+	idle := classClaim(s, 0, 60)
+	idle.PowerMW += s.Classes[0].IdleMW
+	idle.Rate = s.Price(s.DemandMW + idle.PowerMW)
+	idle.CostUSD = idle.Rate * idle.PowerMW
+	if err := Check([]Site{s}, []Claim{idle}, in); err != nil {
+		t.Errorf("idle-class claim rejected: %v", err)
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(*Claim)
+		want   string
+	}{
+		{"power disagrees with class loads", func(c *Claim) {
+			// Priced as if all 60 sat on the cheaper class.
+			c.PowerMW = s.Classes[0].MWPerLambda*60 + s.Classes[0].IdleMW
+			c.Rate = s.Price(s.DemandMW + c.PowerMW)
+			c.CostUSD = c.Rate * c.PowerMW
+		}, "class loads say"},
+		{"class over its SLA limit", func(c *Claim) { *c = classClaim(s, 50, 10) }, "class 0"},
+		{"class loads do not sum", func(c *Claim) { c.ClassLambda = []float64{40, 10} }, "sum to"},
+		{"class arity", func(c *Claim) { c.ClassLambda = []float64{60} }, "class loads for"},
+		{"negative class load", func(c *Claim) { c.ClassLambda = []float64{70, -10} }, "class 1"},
+	}
+	for _, tc := range cases {
+		c := good
+		tc.mutate(&c)
+		err := Check([]Site{s}, []Claim{c}, in)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// A one-class site takes no class loads.
+	c := claimFor(oneSite()[0], 60)
+	c.ClassLambda = []float64{60}
+	if err := Check(oneSite(), []Claim{c}, in); err == nil {
+		t.Error("class loads on a one-class site accepted")
+	}
+}

@@ -15,9 +15,11 @@ import (
 // fall back to the exact MILP: the storage variables couple charge and
 // discharge to the load inside each site in a way the closed-form segment
 // subproblem does not model (demand charges and two-settlement, by contrast,
-// stay separable and are absorbed into the segment costs below).
+// stay separable and are absorbed into the segment costs below). So do
+// fleets with multi-class sites, whose class split the segments price only
+// as the efficiency-order fill, not as the MILP's free choice.
 func (s *System) routeDecomp(in HourInput) bool {
-	return s.opts.Decompose && len(s.models) > s.opts.decomposeThreshold() && !in.hasBatteries()
+	return s.opts.Decompose && len(s.models) > s.opts.decomposeThreshold() && !in.hasBatteries() && !s.multiClass
 }
 
 func (o Options) decomposeThreshold() int {
@@ -36,10 +38,16 @@ func (s *System) decompOptions(so milp.Options) decomp.Options {
 	}
 }
 
+// fillPiece is one affine stretch of a site's power under the efficiency-
+// order fill: on [lo, hi] the classes before the piece's own are full and
+// p = a·λ + b.
+type fillPiece struct{ lo, hi, a, b float64 }
+
 // decompSites converts the hour into decomposition form, one site at a time:
 // each reachable power segment from the piecewise plan becomes a load
 // interval (power p = a·λ + b inverts to λ = (p − b)/a), with cost and power
-// affine in the load. Down sites keep only their off state.
+// affine in the load. A multi-class site crosses the segments with its fill
+// pieces. Down sites keep only their off state.
 //
 // The tariff engine's separable components are absorbed exactly rather than
 // dualized: under two-settlement the energy rate is the flat RT price, and a
@@ -51,7 +59,6 @@ func (s *System) decompOptions(so milp.Options) decomp.Options {
 // them.)
 func (s *System) decompSites(in HourInput) ([]decomp.Site, error) {
 	sites := make([]decomp.Site, len(s.models))
-	dc := in.DemandChargeUSDPerMW
 	for i, sm := range s.models {
 		name := sm.site.DC.Name
 		site := decomp.Site{Name: name, CanOff: true}
@@ -64,77 +71,90 @@ func (s *System) decompSites(in HourInput) ([]decomp.Site, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: site %s: %w", name, err)
 		}
-		a, b := sm.affine.A, sm.affine.B
-		peak := in.peak(i)
-		for _, sp := range plan {
-			rate := sp.Rate
-			if in.twoSettlement() {
-				rate = in.RTPriceUSDPerMWh[i]
+		// One piece per class prefix, up to the site's load limit: a
+		// one-class site has the single piece [0, maxLambda].
+		lo, full := 0.0, 0.0 // load and power of the full classes before the piece
+		for k, pl := range sm.plans {
+			hi := sm.maxLambda
+			if k < len(sm.plans)-1 {
+				hi = math.Min(hi, lo+pl.MaxLambda)
 			}
-			var lo, hi float64
-			if a > 0 {
-				lo = math.Max(0, (sp.Lo-b)/a)
-				hi = math.Min(sm.maxLambda, (sp.Hi-b)/a)
-			} else {
-				// Constant draw b: only the segment containing it is live,
-				// and the load is bounded by capacity alone.
-				if b < sp.Lo || b > sp.Hi {
-					continue
+			pc := fillPiece{lo: lo, hi: hi, a: pl.A, b: full + pl.B - pl.A*lo}
+			for _, sp := range plan {
+				rate := sp.Rate
+				if in.twoSettlement() {
+					rate = in.RTPriceUSDPerMWh[i]
 				}
-				lo, hi = 0, sm.maxLambda
-				seg := decomp.Segment{
-					Seg: sp.Seg, LoadLo: lo, LoadHi: hi,
-					Cost0: rate * b, Power0: b, Rate: rate,
-				}
-				if dc > 0 && b > peak {
-					seg.Cost0 += dc * (b - peak)
-				}
-				site.Segments = append(site.Segments, seg)
-				continue
+				site.Segments = appendSegments(site.Segments, pc, sp, rate, in.DemandChargeUSDPerMW, in.peak(i))
 			}
-			if hi < lo {
-				continue // the power segment sits outside the site's λ range
+			if hi >= sm.maxLambda {
+				break
 			}
-			add := func(l0, l1 float64, abovePeak bool) {
-				if l1 < l0 {
-					return
-				}
-				seg := decomp.Segment{
-					Seg:    sp.Seg,
-					LoadLo: l0,
-					LoadHi: l1,
-					Cost0:  rate * b,
-					Cost1:  rate * a,
-					Power0: b,
-					Power1: a,
-					Rate:   rate,
-				}
-				if abovePeak {
-					// rate·p + dc·(p − peak) with p = a·λ + b.
-					seg.Cost0 += dc * (b - peak)
-					seg.Cost1 += dc * a
-				}
-				site.Segments = append(site.Segments, seg)
-			}
-			if dc <= 0 {
-				add(lo, hi, false)
-				continue
-			}
-			// Split at the load where the grid draw crosses the peak ledger.
-			loadAtPeak := (peak - b) / a
-			switch {
-			case loadAtPeak <= lo:
-				add(lo, hi, true)
-			case loadAtPeak >= hi:
-				add(lo, hi, false)
-			default:
-				add(lo, loadAtPeak, false)
-				add(loadAtPeak, hi, true)
-			}
+			lo, full = hi, full+pl.PowerMW(pl.MaxLambda)
 		}
 		sites[i] = site
 	}
 	return sites, nil
+}
+
+// appendSegments appends the load intervals on which fill piece pc draws
+// power inside price segment sp, priced at rate plus the demand charge dc
+// above the peak-so-far.
+func appendSegments(segs []decomp.Segment, pc fillPiece, sp piecewise.SegPlan, rate, dc, peak float64) []decomp.Segment {
+	a, b := pc.a, pc.b
+	if a <= 0 {
+		// Constant draw b: only the segment containing it is live, and the
+		// load is bounded by capacity alone.
+		if b < sp.Lo || b > sp.Hi {
+			return segs
+		}
+		seg := decomp.Segment{
+			Seg: sp.Seg, LoadLo: pc.lo, LoadHi: pc.hi,
+			Cost0: rate * b, Power0: b, Rate: rate,
+		}
+		if dc > 0 && b > peak {
+			seg.Cost0 += dc * (b - peak)
+		}
+		return append(segs, seg)
+	}
+	lo := math.Max(pc.lo, (sp.Lo-b)/a)
+	hi := math.Min(pc.hi, (sp.Hi-b)/a)
+	add := func(l0, l1 float64, abovePeak bool) {
+		if l1 < l0 {
+			return
+		}
+		seg := decomp.Segment{
+			Seg:    sp.Seg,
+			LoadLo: l0,
+			LoadHi: l1,
+			Cost0:  rate * b,
+			Cost1:  rate * a,
+			Power0: b,
+			Power1: a,
+			Rate:   rate,
+		}
+		if abovePeak {
+			// rate·p + dc·(p − peak) with p = a·λ + b.
+			seg.Cost0 += dc * (b - peak)
+			seg.Cost1 += dc * a
+		}
+		segs = append(segs, seg)
+	}
+	switch loadAtPeak := (peak - b) / a; {
+	case hi < lo:
+		// The power segment sits outside the piece's λ range.
+	case dc <= 0:
+		add(lo, hi, false)
+	case loadAtPeak <= lo:
+		add(lo, hi, true)
+	case loadAtPeak >= hi:
+		add(lo, hi, false)
+	default:
+		// Split at the load where the grid draw crosses the peak ledger.
+		add(lo, loadAtPeak, false)
+		add(loadAtPeak, hi, true)
+	}
+	return segs
 }
 
 // decompMinCost is the decomposition drop-in for minimizeCost: serve exactly

@@ -224,7 +224,7 @@ func TestGreedyRungStopsBelowStepBoundary(t *testing.T) {
 	if d.Sites[0].PriceUSDPerMWh != 10 {
 		t.Errorf("price %v, want the cheap step", d.Sites[0].PriceUSDPerMWh)
 	}
-	if d.Served < 0.9*(boundary-demand-slack)/sys.models[0].affine.A {
+	if d.Served < 0.9*(boundary-demand-slack)/sys.models[0].plans[0].A {
 		t.Errorf("served %v: the budget affords nearly the whole cheap step", d.Served)
 	}
 }

@@ -26,7 +26,7 @@ func predictedCost(s *System, lambdas, demand []float64) (float64, bool) {
 		if lam == 0 {
 			continue
 		}
-		p := m.affine.PowerMW(lam)
+		p := m.plans[0].PowerMW(lam)
 		if p > s.Sites[i].DC.PowerCapMW {
 			return 0, false
 		}

@@ -123,6 +123,11 @@ type SiteAlloc struct {
 	ChargeMW, DischargeMW float64
 	// EnergyUSD and DemandUSD split CostUSD into tariff components.
 	EnergyUSD, DemandUSD float64
+
+	// ClassLambda is the load on each server class of a multi-class site,
+	// keyed like dcmodel.Site.Plans (efficiency order); nil for a
+	// one-class site.
+	ClassLambda []float64 `json:",omitempty"`
 }
 
 // Step identifies which branch of the two-step algorithm produced a decision.
@@ -237,6 +242,48 @@ type siteVars struct {
 	chg  int // battery charge draw, MW
 	dis  int // battery discharge, MW
 	peak int // demand-charge exceedance above the ledger's peak-so-far, MW
+
+	// Per-class scaled loads and activation binaries, keyed like the site's
+	// plans; nil for a one-class site.
+	cx, cy []int
+}
+
+// appendIT appends the site's IT draw negated to row: −a·scale·x − b·y, or
+// on a multi-class site −Σ (a_c·scale·x_c + b_c·y_c).
+func (sv siteVars) appendIT(row []lp.Term, sm siteModel, scale float64) []lp.Term {
+	if !sm.multi() {
+		pl := sm.plans[0]
+		return append(row, lp.Term{Var: sv.x, Coef: -pl.A * scale}, lp.Term{Var: sv.y, Coef: -pl.B})
+	}
+	for c, pl := range sm.plans {
+		row = append(row, lp.Term{Var: sv.cx[c], Coef: -pl.A * scale}, lp.Term{Var: sv.cy[c], Coef: -pl.B})
+	}
+	return row
+}
+
+// addClasses gives a multi-class site one load and one activation binary
+// per class: x = Σ x_c, x_c ≤ min(M_c, λ)·y_c (the site's big-M tightening
+// applied per class), and y_c ≤ y ≤ Σ y_c, so the site is on exactly when
+// some class is.
+func addClasses(m *milp.Problem, sv *siteVars, sm siteModel, scale, maxLoad float64) {
+	name := sm.site.DC.Name
+	sum := []lp.Term{{Var: sv.x, Coef: 1}}
+	anyOn := []lp.Term{{Var: sv.y, Coef: -1}}
+	for _, pl := range sm.plans {
+		x := m.AddVar(name+"."+pl.Class.Name+".x", 0)
+		y := m.AddBinVar(name+"."+pl.Class.Name+".y", 0)
+		m.AddConstraint([]lp.Term{
+			{Var: x, Coef: 1},
+			{Var: y, Coef: -math.Min(pl.MaxLambda, maxLoad) / scale},
+		}, lp.LE, 0)
+		m.AddConstraint([]lp.Term{{Var: y, Coef: 1}, {Var: sv.y, Coef: -1}}, lp.LE, 0)
+		sum = append(sum, lp.Term{Var: x, Coef: -1})
+		anyOn = append(anyOn, lp.Term{Var: y, Coef: 1})
+		sv.cx = append(sv.cx, x)
+		sv.cy = append(sv.cy, y)
+	}
+	m.AddConstraint(sum, lp.EQ, 0)
+	m.AddConstraint(anyOn, lp.GE, 0)
 }
 
 // lambdaScale returns the scaling that keeps workload variables around ≤1e3
@@ -269,15 +316,15 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 		sel := append(enc.SelectorTerms(), lp.Term{Var: y, Coef: -1})
 		m.AddConstraint(sel, lp.EQ, 0)
 		sv := siteVars{x: x, y: y, enc: enc, chg: -1, dis: -1, peak: -1}
+		if sm.multi() {
+			addClasses(m, &sv, sm, scale, maxLoad)
+		}
 		// Grid link: the encoded power variable is the *metered* draw (that
 		// is what the tariff and the supplier cap see). Without a battery it
 		// equals the IT draw and this is the paper's affine power link
 		// p − a·scale·x − b·y = 0; with one it is p − a·scale·x − b·y − c + g = 0.
-		link := []lp.Term{
-			{Var: enc.Power, Coef: 1},
-			{Var: x, Coef: -sm.affine.A * scale},
-			{Var: y, Coef: -sm.affine.B},
-		}
+		link := sv.appendIT(make([]lp.Term, 1, 5), sm, scale)
+		link[0] = lp.Term{Var: enc.Power, Coef: 1}
 		if bat := in.battery(i); bat.active() && !in.SiteDown(i) {
 			// Charge/discharge bounded natively by rate, room and charge:
 			// η·c ≤ capacity − SoC and g ≤ SoC make any within-bounds plan
@@ -292,11 +339,7 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 				lp.Term{Var: sv.dis, Coef: 1})
 			// No export: the discharge can at most offset the IT draw
 			// (g ≤ a·scale·x + b·y); the meter never runs backwards.
-			m.AddConstraint([]lp.Term{
-				{Var: sv.dis, Coef: 1},
-				{Var: x, Coef: -sm.affine.A * scale},
-				{Var: y, Coef: -sm.affine.B},
-			}, lp.LE, 0)
+			m.AddConstraint(sv.appendIT([]lp.Term{{Var: sv.dis, Coef: 1}}, sm, scale), lp.LE, 0)
 		}
 		m.AddConstraint(link, lp.EQ, 0)
 		if in.DemandChargeUSDPerMW > 0 {
@@ -310,12 +353,16 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 				{Var: sv.peak, Coef: -1},
 			}, lp.LE, in.peak(i))
 		}
-		// Capacity: x ≤ min(xmax, λ)·y links load to the on/off state.
-		xmax := math.Min(sm.maxLambda, maxLoad)
-		m.AddConstraint([]lp.Term{
-			{Var: x, Coef: 1},
-			{Var: y, Coef: -xmax / scale},
-		}, lp.LE, 0)
+		// Capacity: x ≤ min(xmax, λ)·y links load to the on/off state. A
+		// multi-class site's class rows do this per class, and its cap binds
+		// through the power link.
+		if !sm.multi() {
+			xmax := math.Min(sm.maxLambda, maxLoad)
+			m.AddConstraint([]lp.Term{
+				{Var: x, Coef: 1},
+				{Var: y, Coef: -xmax / scale},
+			}, lp.LE, 0)
+		}
 		if in.SiteDown(i) {
 			// Outage: force the site off; the capacity row then pins x = 0.
 			m.AddConstraint([]lp.Term{{Var: y, Coef: 1}}, lp.EQ, 0)
@@ -381,7 +428,15 @@ func (s *System) decisionFrom(sol milp.Solution, vars []siteVars, scale float64,
 			lam = 0
 		}
 		alloc := SiteAlloc{Lambda: lam, On: on}
+		if v.cx != nil {
+			alloc.ClassLambda = make([]float64, len(v.cx))
+		}
 		if on {
+			for c, xv := range v.cx {
+				if sol.X[v.cy[c]] > 0.5 {
+					alloc.ClassLambda[c] = math.Max(0, sol.X[xv]*scale)
+				}
+			}
 			// Every power variable is nonnegative in the model, but the LP
 			// may return one at a tolerance-level negative (−1e-18 to
 			// −1e-10 when a discharge covers the whole IT draw). Clamp them

@@ -60,7 +60,7 @@ func (s *System) Realize(lambdas, demand []float64) (Realization, error) {
 		}
 		// Physical ceiling: the dispatcher cannot make installed servers
 		// serve more than the SLA admits; excess is dropped and accounted.
-		maxLam, err := site.DC.Queue.MaxThroughput(site.DC.MaxServers, site.DC.RespSLAHours)
+		maxLam, err := site.DC.SLAMaxLambda()
 		if err != nil {
 			return Realization{}, fmt.Errorf("core: site %s: %w", site.DC.Name, err)
 		}
@@ -83,12 +83,10 @@ func (s *System) Realize(lambdas, demand []float64) (Realization, error) {
 			PriceUSDPerMWh: price,
 			CostUSD:        price * p, // one-hour invocation period: MW ≡ MWh
 			CapViolated:    p > site.DC.PowerCapMW+1e-9,
+			RespTimeHours:  b.RespTimeHours,
 		}
 		if r.CapViolated {
 			r.PenaltyUSD = s.opts.capPenalty() * (p - site.DC.PowerCapMW)
-		}
-		if lam > 0 {
-			r.RespTimeHours = site.DC.Queue.ResponseTime(lam, b.Servers)
 		}
 		out.Sites[i] = r
 		out.CostUSD += r.CostUSD

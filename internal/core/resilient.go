@@ -8,6 +8,7 @@ import (
 	"math"
 	"sync"
 
+	"billcap/internal/dcmodel"
 	"billcap/internal/decomp"
 )
 
@@ -334,10 +335,12 @@ func (r *Resilient) staleReuse(in HourInput) (Decision, bool) {
 }
 
 // planFrom prices a per-site allocation under the optimizer's models and
-// assembles a Decision, clamping each site to its SLA/cap limit. The
-// degraded rungs never operate batteries (safety: the crude plan should not
-// touch stored energy), but demand-charge increments and the two-settlement
-// position are still accounted so budget arithmetic stays truthful.
+// assembles a Decision, clamping each site to its SLA/cap limit. A
+// multi-class site splits its load by the efficiency-order fill, as the
+// greedy's segments price it. The degraded rungs never operate batteries
+// (safety: the crude plan should not touch stored energy), but
+// demand-charge increments and the two-settlement position are still
+// accounted so budget arithmetic stays truthful.
 func (r *Resilient) planFrom(in HourInput, lambdas []float64) Decision {
 	d := Decision{Sites: make([]SiteAlloc, len(r.sys.models))}
 	for i, sm := range r.sys.models {
@@ -348,7 +351,13 @@ func (r *Resilient) planFrom(in HourInput, lambdas []float64) Decision {
 		if lam > sm.maxLambda {
 			lam = sm.maxLambda
 		}
-		p := sm.affine.A*lam + sm.affine.B
+		split := dcmodel.Fill(sm.plans, lam)
+		p := 0.0
+		for c, pl := range sm.plans {
+			if split[c] > 0 {
+				p += pl.PowerMW(split[c])
+			}
+		}
 		rate := r.sys.viewFn(i).Fn.Eval(in.DemandMW[i] + p)
 		if in.twoSettlement() {
 			rate = in.RTPriceUSDPerMWh[i]
@@ -360,6 +369,9 @@ func (r *Resilient) planFrom(in HourInput, lambdas []float64) Decision {
 			PriceUSDPerMWh: rate,
 			EnergyUSD:      rate * p,
 			On:             true,
+		}
+		if sm.multi() {
+			alloc.ClassLambda = split
 		}
 		if in.DemandChargeUSDPerMW > 0 {
 			alloc.DemandUSD = in.DemandChargeUSDPerMW * math.Max(0, p-in.peak(i))

@@ -99,17 +99,26 @@ func (r *Resilient) auditDecision(in HourInput, dec Decision) error {
 		dc := sm.site.DC
 		fn := r.sys.viewFn(i).Fn
 		site := audit.Site{
-			MaxLambda:   sm.maxLambda,
-			MWPerLambda: sm.affine.A,
-			IdleMW:      sm.affine.B,
-			PowerCapMW:  dc.PowerCapMW,
-			SlackMW:     dc.RoundingSlackMW(),
-			DemandMW:    in.DemandMW[i],
-			Down:        in.SiteDown(i),
-			Price:       fn.Eval,
+			MaxLambda:  sm.maxLambda,
+			PowerCapMW: dc.PowerCapMW,
+			SlackMW:    dc.RoundingSlackMW(),
+			DemandMW:   in.DemandMW[i],
+			Down:       in.SiteDown(i),
+			Price:      fn.Eval,
 
 			DemandRateUSDPerMW: in.DemandChargeUSDPerMW,
 			PeakMW:             in.peak(i),
+		}
+		if sm.multi() {
+			// The model bounds a multi-class site's load per class and its
+			// draw by the cap, not by the cap walk.
+			site.MaxLambda = 0
+			for _, pl := range sm.plans {
+				site.MaxLambda += pl.MaxLambda
+				site.Classes = append(site.Classes, audit.Class{MaxLambda: pl.MaxLambda, MWPerLambda: pl.A, IdleMW: pl.B})
+			}
+		} else {
+			site.MWPerLambda, site.IdleMW = sm.plans[0].A, sm.plans[0].B
 		}
 		if in.twoSettlement() {
 			site.TwoSettlement = true
@@ -139,6 +148,7 @@ func (r *Resilient) auditDecision(in HourInput, dec Decision) error {
 			DischargeMW: a.DischargeMW,
 			EnergyUSD:   a.EnergyUSD,
 			DemandUSD:   a.DemandUSD,
+			ClassLambda: a.ClassLambda,
 		}
 	}
 	if len(claims) != len(sites) {

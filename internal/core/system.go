@@ -118,10 +118,16 @@ func (o Options) capPenalty() float64 {
 
 // siteModel caches the per-site derived quantities the MILP builders need.
 type siteModel struct {
-	site      Site
-	affine    dcmodel.AffineModel // per the optimizer's scope
-	maxLambda float64             // per the optimizer's scope
+	site Site
+	// plans are the site's server classes in efficiency order, each with its
+	// affine power model per the optimizer's scope; a one-class site has one.
+	plans     []dcmodel.ClassPlan
+	maxLambda float64 // the full-power cap walk (see NewSystem)
 }
+
+// multi reports whether the site has server classes, which the hour model
+// gives their own load and activation variables.
+func (sm siteModel) multi() bool { return len(sm.site.DC.Classes) > 0 }
 
 // System is a network of data centers under one bill-capping controller.
 //
@@ -143,6 +149,8 @@ type System struct {
 	// concurrent decisions race only on which hour's root basis the next
 	// solve crashes from, never on correctness.
 	cache *SolveCache
+	// multiClass is set when any site has server classes.
+	multiClass bool
 }
 
 // NewSystem validates and assembles a system with the given optimizer
@@ -163,7 +171,7 @@ func NewSystem(dcs []*dcmodel.Site, policies []pricing.Policy, opts Options) (*S
 			return nil, fmt.Errorf("core: site %d: %w", i, err)
 		}
 		site := Site{DC: dc, Policy: policies[i]}
-		aff, err := dc.Affine(opts.Scope)
+		plans, err := dc.Plans(opts.Scope)
 		if err != nil {
 			return nil, fmt.Errorf("core: site %s: %w", dc.Name, err)
 		}
@@ -177,7 +185,8 @@ func NewSystem(dcs []*dcmodel.Site, policies []pricing.Policy, opts Options) (*S
 			return nil, fmt.Errorf("core: site %s: %w", dc.Name, err)
 		}
 		s.Sites = append(s.Sites, site)
-		s.models = append(s.models, siteModel{site: site, affine: aff, maxLambda: maxLam})
+		s.models = append(s.models, siteModel{site: site, plans: plans, maxLambda: maxLam})
+		s.multiClass = s.multiClass || len(dc.Classes) > 0
 	}
 	return s, nil
 }

@@ -97,3 +97,38 @@ func SyntheticSites(n int) []*Site {
 	}
 	return out
 }
+
+// paperClassNames name the paper's three server generations (§VI-A), in
+// paperSpecs order.
+var paperClassNames = []string{"athlon-2.0", "pentium-1.2", "pentiumD-2.9"}
+
+// PaperHeteroSites returns the three paper locations refitted as
+// heterogeneous fleets ("data center repair, replacement, and expansion" —
+// paper §IX): each site mixes the three server generations in a different
+// proportion, as a partially upgraded site would, with the same fabric,
+// cooling and cap parameters as the homogeneous model.
+func PaperHeteroSites() []*Site {
+	specs := paperSpecs()
+	mixes := [][3]int{
+		{400_000, 200_000, 100_000},
+		{100_000, 450_000, 150_000},
+		{150_000, 100_000, 450_000},
+	}
+	out := make([]*Site, len(specs))
+	for i, sp := range specs {
+		s := siteFromSpec(sp, mixes[i][0]+mixes[i][1]+mixes[i][2])
+		s.MaxServers, s.IdleW, s.PeakW, s.Queue.Mu = 0, 0, 0, 0
+		for k, n := range mixes[i] {
+			g := specs[k]
+			s.Classes = append(s.Classes, ServerClass{
+				Name:  paperClassNames[k],
+				Count: n,
+				Mu:    g.muPerSec * 3600,
+				IdleW: 0.5 * g.sp80W,
+				PeakW: 1.125 * g.sp80W,
+			})
+		}
+		out[i] = s
+	}
+	return out
+}

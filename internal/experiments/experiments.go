@@ -10,7 +10,6 @@ import (
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
 	"billcap/internal/grid"
-	"billcap/internal/hetero"
 	"billcap/internal/hierarchy"
 	"billcap/internal/powergrid"
 	"billcap/internal/pricing"
@@ -408,7 +407,8 @@ func Robustness(weeks int) (Result, error) {
 // class. Compares the class-aware MILP against a capacity-proportional
 // dispatch at several load levels, both billed by the true market.
 func Hetero() (Result, error) {
-	n, err := hetero.NewNetwork(hetero.PaperHeteroSites(), pricing.PaperPolicies(pricing.Policy1))
+	sites := dcmodel.PaperHeteroSites()
+	sys, err := core.NewSystem(sites, pricing.PaperPolicies(pricing.Policy1), core.Options{})
 	if err != nil {
 		return Result{}, err
 	}
@@ -417,27 +417,27 @@ func Hetero() (Result, error) {
 		Title:  "Extension — heterogeneous fleets (per-class dispatch vs proportional)",
 		Header: []string{"load (fleet fraction)", "class-aware bill/h", "proportional bill/h", "saving"},
 	}
-	cap := n.MaxThroughput()
+	cap := sys.MaxThroughput()
 	for _, frac := range []float64{0.3, 0.5, 0.7, 0.9} {
 		lam := frac * cap
-		a, err := n.MinimizeCost(lam, demand)
+		in := core.HourInput{TotalLambda: lam, DemandMW: demand, BudgetUSD: math.Inf(1)}
+		a, err := sys.MinimizeCost(in, lam, nil)
 		if err != nil {
 			return Result{}, err
 		}
-		opt, err := n.Realize(a.LambdaBySite, demand)
+		opt, err := sys.Realize(a.Lambdas(), demand)
 		if err != nil {
 			return Result{}, err
 		}
-		naive := make([]float64, len(n.Sites))
-		for i := range naive {
-			st := n.Sites[i]
+		naive := make([]float64, len(sites))
+		for i, st := range sites {
 			siteMax, err := st.MaxLambda()
 			if err != nil {
 				return Result{}, err
 			}
 			naive[i] = lam * siteMax / cap
 		}
-		nv, err := n.Realize(naive, demand)
+		nv, err := sys.Realize(naive, demand)
 		if err != nil {
 			return Result{}, err
 		}

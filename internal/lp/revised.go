@@ -219,6 +219,7 @@ func (s *revSolver) primal() Status {
 	pr := s.pr
 	m := pr.m
 	stallAfter := 100 + m
+	refreshedAt := -1 // pivot count at the last skip refresh
 	for {
 		if s.failed || s.pivots >= s.maxPivots {
 			return IterLimit
@@ -228,6 +229,13 @@ func (s *revSolver) primal() Status {
 			if len(s.skip) > 0 {
 				// Columns were excluded after weak pivots; refresh the
 				// factorization and re-price before declaring optimality.
+				// A refresh with no pivot since the last one would price
+				// the same weak columns again forever: the pivot stays
+				// weak, as the dual simplex reports it.
+				if s.pivots == refreshedAt {
+					return IterLimit
+				}
+				refreshedAt = s.pivots
 				s.skip = nil
 				if !s.refactorize() {
 					return IterLimit

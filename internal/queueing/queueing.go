@@ -30,11 +30,11 @@ type Model struct {
 
 // Validate reports whether the model parameters are usable.
 func (m Model) Validate() error {
-	if m.Mu <= 0 {
-		return fmt.Errorf("queueing: nonpositive service rate %v", m.Mu)
+	if m.Mu <= 0 || math.IsNaN(m.Mu) || math.IsInf(m.Mu, 1) {
+		return fmt.Errorf("queueing: service rate %v not positive and finite", m.Mu)
 	}
-	if m.K <= 0 {
-		return fmt.Errorf("queueing: nonpositive variability coefficient %v", m.K)
+	if m.K <= 0 || math.IsNaN(m.K) || math.IsInf(m.K, 1) {
+		return fmt.Errorf("queueing: variability coefficient %v not positive and finite", m.K)
 	}
 	return nil
 }

@@ -69,7 +69,7 @@ func newTariffRig(cfg Config) (*tariffRig, error) {
 		shares := make([]float64, n)
 		total := 0.0
 		for i, dc := range cfg.DCs {
-			maxLam, err := dc.Queue.MaxThroughput(dc.MaxServers, dc.RespSLAHours)
+			maxLam, err := dc.SLAMaxLambda()
 			if err != nil {
 				return nil, fmt.Errorf("sim: site %s: %w", dc.Name, err)
 			}
