@@ -524,7 +524,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 // position, each site metering the IT draw the answer planned. The journal
 // records every decide but a non-resilient what-if (a resilient one moved
 // the ladder). An hour that commits or records holds s.hourMu throughout,
-// TimeoutMS counted from before the wait. A failed record is counted in
+// TimeoutMS counted from before the wait. A failed record, or a failed
+// background checkpoint it reports, is counted in
 // billcap_state_persist_errors_total, not surfaced: the answer is still
 // served, and a restart resumes from the last durable hour.
 func (s *Server) decide(ctx context.Context, req DecideRequest) (core.Decision, error) {

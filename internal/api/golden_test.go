@@ -82,8 +82,10 @@ func zeroWallTime(ls *core.ResilientState) {
 // resilient hours (some capped, some with a site down) on a server with a
 // demand charge, batteries and a state directory. The digest covers every
 // answer without its solverWallMS, GET /v1/tariff after each hour, and what
-// the directory holds at the end: the WAL entries and the newest
-// checkpoint, solver wall times zeroed. It was recorded before the daemon's
+// the directory holds after CloseState: the entries of every WAL segment in
+// order and the newest checkpoint, solver wall times zeroed. It held when
+// the WAL was split into segments written by a background checkpoint
+// writer, and it was recorded before the daemon's
 // hour ran through internal/controller, so it shows the shared controller
 // changed no answer, no position and no durable byte. It was re-recorded
 // once, when the ladder state's solver stats lost their presolve and
@@ -102,7 +104,12 @@ func TestDaemonGolden(t *testing.T) {
 	if _, err := s.EnableState(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer s.CloseState()
+	closed := false
+	defer func() {
+		if !closed {
+			s.CloseState()
+		}
+	}()
 	h := s.Handler()
 
 	digest := fnv.New64a()
@@ -142,7 +149,22 @@ func TestDaemonGolden(t *testing.T) {
 		digest.Write(serveBytes(t, h, http.MethodGet, "/v1/tariff", nil))
 	}
 
-	for _, line := range sealedLines(t, filepath.Join(dir, "wal.log")) {
+	// CloseState drains the checkpoint writer; the final checkpoint it
+	// writes repeats the hour-72 one byte for byte.
+	closed = true
+	if err := s.CloseState(); err != nil {
+		t.Fatal(err)
+	}
+	var entries [][]byte
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	for _, seg := range segs {
+		entries = append(entries, sealedLines(t, seg)...)
+	}
+	for _, line := range entries {
 		var e state.Entry
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatal(err)
@@ -181,7 +203,7 @@ func TestDaemonGolden(t *testing.T) {
 	}
 	digest.Write(body)
 
-	t.Logf("steps %v, newest checkpoint %s, %d WAL entries", steps, newest, len(sealedLines(t, filepath.Join(dir, "wal.log"))))
+	t.Logf("steps %v, newest checkpoint %s, %d WAL entries in %d segments", steps, newest, len(entries), len(segs))
 	if got := digest.Sum64(); got != want {
 		t.Errorf("daemon digest %#x, want %#x", got, want)
 	}

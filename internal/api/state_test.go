@@ -10,6 +10,7 @@ import (
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
 	"billcap/internal/pricing"
+	"billcap/internal/state"
 )
 
 func stateServer(t *testing.T, dir string) *Server {
@@ -116,5 +117,34 @@ func TestStateFreshDirReportsNoRestore(t *testing.T) {
 	}
 	if restore["restored"] != false {
 		t.Errorf("fresh dir reports restore: %v", restore)
+	}
+}
+
+// TestStateTimingMetrics: EnableState registers the state timing metrics.
+// After 48 committed decides and CloseState, which drains the checkpoint
+// writer, /metrics counts 48 WAL appends and the 2 background checkpoints
+// they cut, and reports how long the restore took.
+func TestStateTimingMetrics(t *testing.T) {
+	s := tariffServer(t, 1500, true)
+	if _, err := s.EnableState(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for hour := 0; hour < 2*state.CheckpointEvery; hour++ {
+		serveBytes(t, h, http.MethodPost, "/v1/decide", resilientReq(hour))
+	}
+	if err := s.CloseState(); err != nil {
+		t.Fatal(err)
+	}
+	metrics := string(serveBytes(t, h, http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		"billcap_state_append_seconds_count 48",
+		"billcap_state_checkpoint_seconds_count 2",
+		"billcap_state_restore_seconds ",
+		"billcap_state_persist_errors_total 0",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

@@ -235,8 +235,9 @@ func TestJournalFreshDirRestoresNothing(t *testing.T) {
 
 // TestJournalCheckpointCadence: a checkpoint lands after every
 // CheckpointEvery records since open, stamped with the hour after the last
-// record; Release leaves no final checkpoint, Close writes one, and a
-// reopened journal restores the position the last record carried.
+// record, once the writer is through; Release leaves no final checkpoint,
+// Close writes one, and a reopened journal restores the position the last
+// record carried.
 func TestJournalCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	p := position(t, 1000, specs(3))
@@ -248,6 +249,9 @@ func TestJournalCheckpointCadence(t *testing.T) {
 	for h := start; h < start+2*state.CheckpointEvery+3; h++ {
 		p.Commit(plan([3]float64{}, [3]float64{1, 0, 0}), core.HourInput{}, []float64{float64(h), 1, 1})
 		if err := j.Record(h, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.wait(); err != nil {
 			t.Fatal(err)
 		}
 		want := (h - start + 1) / state.CheckpointEvery

@@ -283,3 +283,31 @@ func TestHeteroTariffHourPassesAudit(t *testing.T) {
 	}
 	checkHeteroSafety(t, r, in, d)
 }
+
+// TestHeteroPlanKeepsRoundingSlack: a multi-class site gets the ceiling a
+// one-class site gets, so near fleet capacity every site's planned IT draw
+// stays at or below its cap less the rounding slack, and the realized hour
+// violates no cap and pays no penalty.
+func TestHeteroPlanKeepsRoundingSlack(t *testing.T) {
+	s := heteroSystem(t)
+	for _, frac := range []float64{0.9, 0.95} {
+		lam := frac * s.MaxThroughput()
+		a, err := s.MinimizeCost(serveAll(lam), lam, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, site := range a.Sites {
+			dc := s.Sites[i].DC
+			if ceil := dc.PowerCapMW - dc.RoundingSlackMW(); site.PowerMW > ceil+1e-9 {
+				t.Errorf("%.0f%%: %s planned at %.6f MW, above its %.6f MW cap less slack", 100*frac, dc.Name, site.PowerMW, ceil)
+			}
+		}
+		r, err := s.Realize(a.Lambdas(), demand3())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.CapViolations != 0 || r.PenaltyUSD != 0 {
+			t.Errorf("%.0f%%: realized %d cap violations, $%.2f penalty", 100*frac, r.CapViolations, r.PenaltyUSD)
+		}
+	}
+}

@@ -353,16 +353,15 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 				{Var: sv.peak, Coef: -1},
 			}, lp.LE, in.peak(i))
 		}
-		// Capacity: x ≤ min(xmax, λ)·y links load to the on/off state. A
-		// multi-class site's class rows do this per class, and its cap binds
-		// through the power link.
-		if !sm.multi() {
-			xmax := math.Min(sm.maxLambda, maxLoad)
-			m.AddConstraint([]lp.Term{
-				{Var: x, Coef: 1},
-				{Var: y, Coef: -xmax / scale},
-			}, lp.LE, 0)
-		}
+		// Capacity: x ≤ min(xmax, λ)·y links load to the on/off state, and
+		// xmax, the cap walk, keeps the IT draw within the cap less the
+		// rounding slack. A multi-class site's class rows also bound each
+		// class by its SLA ceiling.
+		xmax := math.Min(sm.maxLambda, maxLoad)
+		m.AddConstraint([]lp.Term{
+			{Var: x, Coef: 1},
+			{Var: y, Coef: -xmax / scale},
+		}, lp.LE, 0)
 		if in.SiteDown(i) {
 			// Outage: force the site off; the capacity row then pins x = 0.
 			m.AddConstraint([]lp.Term{{Var: y, Coef: 1}}, lp.EQ, 0)

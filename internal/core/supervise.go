@@ -110,11 +110,7 @@ func (r *Resilient) auditDecision(in HourInput, dec Decision) error {
 			PeakMW:             in.peak(i),
 		}
 		if sm.multi() {
-			// The model bounds a multi-class site's load per class and its
-			// draw by the cap, not by the cap walk.
-			site.MaxLambda = 0
 			for _, pl := range sm.plans {
-				site.MaxLambda += pl.MaxLambda
 				site.Classes = append(site.Classes, audit.Class{MaxLambda: pl.MaxLambda, MWPerLambda: pl.A, IdleMW: pl.B})
 			}
 		} else {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -112,10 +113,10 @@ func TestChaosSoakCrashRestart(t *testing.T) {
 }
 
 // TestChaosSoakCorruptCheckpoint injects checkpoint corruption between crash
-// and resume: the newest snapshot is garbage and the WAL has a torn tail.
-// Recovery must fall back to the older snapshot generation, replay the
-// compacted WAL, truncate the tear, and resume with at most the torn hour
-// re-decided — never with a corrupted ledger.
+// and resume: the newest snapshot is garbage and the newest WAL segment has
+// a torn tail. Recovery must fall back to the older snapshot generation,
+// replay the segments kept since its cut, truncate the tear, and resume
+// with at most the torn hour re-decided — never with a corrupted ledger.
 func TestChaosSoakCorruptCheckpoint(t *testing.T) {
 	cfg, err := ShortScenario(pricing.Policy1, TightBudget(), 1)
 	if err != nil {
@@ -148,7 +149,12 @@ func TestChaosSoakCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(crashed.StateDir, newest), []byte("{corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(crashed.StateDir, "wal.log")
+	segs, err := filepath.Glob(filepath.Join(crashed.StateDir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment: %v", err)
+	}
+	sort.Strings(segs)
+	walPath := segs[len(segs)-1]
 	if fi, err := os.Stat(walPath); err == nil && fi.Size() > 10 {
 		if err := os.Truncate(walPath, fi.Size()-10); err != nil {
 			t.Fatal(err)

@@ -274,7 +274,7 @@ func (r Result) HourlyBudgets() timeseries.Series {
 // power, true LMP prices, penalties) is evaluated on a reference system that
 // always models full power and true prices, regardless of what the strategy
 // believes.
-func Run(cfg Config, decider Decider) (Result, error) {
+func Run(cfg Config, decider Decider) (out Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -313,8 +313,14 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			return Result{}, fmt.Errorf("sim: %w", err)
 		}
 		journal = j
-		// A run stops like a killed process: no final checkpoint.
-		defer journal.Release()
+		// A run stops like a killed process: no final checkpoint. Release
+		// waits for the checkpoint writer, and a write it failed fails the
+		// run as a failed record does.
+		defer func() {
+			if rerr := journal.Release(); rerr != nil && (err == nil || errors.Is(err, ErrHalted)) {
+				out, err = Result{}, fmt.Errorf("sim: %w", rerr)
+			}
+		}()
 		rinfo = &info
 		if cp != nil {
 			startHour = cp.Hour

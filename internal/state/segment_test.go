@@ -1,0 +1,425 @@
+package state
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"billcap/internal/budget"
+	"billcap/internal/pricing"
+)
+
+// newestSegment returns the path of the segment appends go to.
+func newestSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := segments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment in %s: %v", dir, err)
+	}
+	return filepath.Join(dir, segs[len(segs)-1].name)
+}
+
+func segNumbers(t *testing.T, dir string) []int {
+	t.Helper()
+	segs, err := segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []int
+	for _, sg := range segs {
+		out = append(out, sg.n)
+	}
+	return out
+}
+
+// journal drives a Store the way the controller does: every record carries
+// the spend and the post-hour peak, and checkpoints carry the ledger too.
+type journal struct {
+	t      testing.TB
+	s      *Store
+	ledger *budget.Budgeter
+	hour   int
+}
+
+func newJournal(t testing.TB, dir string) *journal {
+	t.Helper()
+	s, _, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &journal{t: t, s: s, ledger: newLedger(t, 200)}
+	if err := s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// peaks is the demand-charge ledger after h records.
+func peaks(h int) *pricing.PeakState {
+	return &pricing.PeakState{PeaksMW: []float64{float64(h), 0.5 * float64(h)}}
+}
+
+func (j *journal) record(n int) {
+	j.t.Helper()
+	for ; n > 0; n-- {
+		spend := 1 + float64(j.hour%7)
+		if err := j.ledger.Record(spend); err != nil {
+			j.t.Fatal(err)
+		}
+		if err := j.s.Append(Entry{Hour: j.hour, SpentUSD: spend, Peaks: peaks(j.hour + 1)}); err != nil {
+			j.t.Fatal(err)
+		}
+		j.hour++
+	}
+}
+
+func (j *journal) checkpoint() Checkpoint {
+	st := j.ledger.Snapshot()
+	cp := Checkpoint{Hour: j.hour, Budget: &st}
+	if j.hour > 0 {
+		cp.Peaks = peaks(j.hour)
+	}
+	return cp
+}
+
+func marshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func reopen(t *testing.T, dir string) (*Checkpoint, RestoreInfo) {
+	t.Helper()
+	s, cp, info, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return cp, info
+}
+
+// TestSnapshotDeletesCoveredSegments: each snapshot cuts the log, and once
+// both kept snapshots were cut since Open, the segments before the earlier
+// cut are gone; every restore still rebuilds the last recorded hour.
+func TestSnapshotDeletesCoveredSegments(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2}) {
+		t.Fatalf("after the first snapshot: segments %v, want [2]", got)
+	}
+	for k := 0; k < 3; k++ {
+		j.record(5)
+		if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.record(2)
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{4, 5}) {
+		t.Errorf("segments %v, want [4 5]: the earlier kept snapshot was cut at 4", got)
+	}
+	if got := snapshotNames(dir); !slices.Equal(got, []string{"snap-00000010.json", "snap-00000015.json"}) {
+		t.Errorf("snapshots %v", got)
+	}
+	want := marshal(t, j.checkpoint())
+	if err := j.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cp, info := reopen(t, dir)
+	if got := marshal(t, cp); !bytes.Equal(got, want) {
+		t.Errorf("restored %s\nwant     %s", got, want)
+	}
+	if info.WALEntriesReplayed != 2 {
+		t.Errorf("replayed %d entries on top of the newest snapshot, want 2", info.WALEntriesReplayed)
+	}
+}
+
+// TestSnapshotFromBeforeOpenKeepsSegments: the store does not know where a
+// snapshot written before Open was cut, so every segment stays until a
+// snapshot written since Open is the oldest kept.
+func TestSnapshotFromBeforeOpenKeepsSegments(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	j.record(5)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	j.record(5)
+	if err := j.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := segNumbers(t, dir)
+
+	var err error
+	if j.s, _, _, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	j.record(5)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); !slices.Equal(got[:len(before)], before) {
+		t.Errorf("segments %v after the first snapshot since Open, want %v kept", got, before)
+	}
+	j.record(5)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); got[0] <= before[len(before)-1] {
+		t.Errorf("segments %v: those from before Open outlived two snapshots since", got)
+	}
+	want := marshal(t, j.checkpoint())
+	j.s.Close()
+	if cp, _ := reopen(t, dir); !bytes.Equal(marshal(t, cp), want) {
+		t.Errorf("restored %s, want %s", marshal(t, cp), want)
+	}
+}
+
+// TestLegacyWALOpensAndRetires: a directory whose log is one wal.log, as
+// written before the log was segmented, restores; appends continue in it,
+// and it is deleted like any segment once two new snapshots cover it.
+func TestLegacyWALOpensAndRetires(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	j.record(4)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	j.record(3)
+	j.s.Close()
+	// Lay the directory out as the single-file log left it: its one log
+	// holds the records from the oldest kept snapshot on.
+	var legacy []byte
+	for _, n := range segNumbers(t, dir) {
+		b, err := os.ReadFile(filepath.Join(dir, segName(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy = append(legacy, b...)
+		os.Remove(filepath.Join(dir, segName(n)))
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyWAL), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := marshal(t, j.checkpoint())
+	cp, info := reopen(t, dir)
+	if !bytes.Equal(marshal(t, cp), want) || info.WALEntriesReplayed != 3 {
+		t.Fatalf("restored %s (%+v), want %s", marshal(t, cp), info, want)
+	}
+
+	var err error
+	if j.s, _, _, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	j.record(1)
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{0}) {
+		t.Fatalf("segments %v, want the legacy log alone", got)
+	}
+	for k := 0; k < 2; k++ {
+		if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		j.record(2)
+	}
+	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); !os.IsNotExist(err) {
+		t.Errorf("legacy log still there after two snapshots since Open: %v", err)
+	}
+	want = marshal(t, j.checkpoint())
+	j.s.Close()
+	if cp, _ := reopen(t, dir); !bytes.Equal(marshal(t, cp), want) {
+		t.Errorf("restored %s, want %s", marshal(t, cp), want)
+	}
+}
+
+// TestTearDropsLaterSegments: a corrupt record in an older segment
+// truncates that segment and deletes every later one; appends continue in
+// the truncated segment, and the next cut takes a number never used before.
+func TestTearDropsLaterSegments(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	j.record(3)
+	if _, err := j.s.Cut(j.checkpoint()); err != nil { // a checkpoint that never landed
+		t.Fatal(err)
+	}
+	j.record(3)
+	j.s.Close()
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("segments %v, want [2 3]", got)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	torn := append(bytes.Join(lines[:2], nil), `{"crc":1,"v":{}}`+"\n"...)
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), append(torn, lines[2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if j.s, _, _, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2}) {
+		t.Errorf("segments %v after the tear, want [2]", got)
+	}
+	j.hour, j.ledger = 2, newLedger(t, 200)
+	for _, sp := range []float64{1, 2} {
+		j.ledger.Record(sp)
+	}
+	j.record(1)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2, 4}) {
+		t.Errorf("segments %v, want [2 4]: segment 3 was used before the tear", got)
+	}
+	want := marshal(t, j.checkpoint())
+	j.s.Close()
+	cp, info := reopen(t, dir)
+	if !bytes.Equal(marshal(t, cp), want) || info.WALCorruptions != 0 {
+		t.Errorf("restored %s (%+v), want %s", marshal(t, cp), info, want)
+	}
+}
+
+var errCrash = errors.New("crash")
+
+// TestCrashPoints stops a background snapshot write at each of its steps
+// while appends continue into the segment its cut began, then reopens the
+// directory as a restarted process would: every crash point restores bit
+// for bit what the uncrashed run restores. The writer runs on its own
+// goroutine, as the controller's does, so -race sees the overlap.
+func TestCrashPoints(t *testing.T) {
+	run := func(t *testing.T, crashAt string) []byte {
+		dir := t.TempDir()
+		j := newJournal(t, dir)
+		j.record(24)
+		if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		j.record(24)
+		c, err := j.s.Cut(j.checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended := make(chan struct{})
+		fired := false
+		j.s.crashAt = func(step string) error {
+			if step != crashAt {
+				return nil
+			}
+			fired = true
+			<-appended
+			return errCrash
+		}
+		done := make(chan error, 1)
+		go func() { done <- c.Write() }()
+		j.record(5)
+		close(appended)
+		if err := <-done; err != nil && !(fired && errors.Is(err, errCrash)) {
+			t.Fatal(err)
+		}
+		if fired != (crashAt != "") {
+			t.Fatalf("crash at %q fired: %v", crashAt, fired)
+		}
+		if err := j.s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cp, _ := reopen(t, dir)
+		if cp.Hour != j.hour {
+			t.Fatalf("restored hour %d, want %d", cp.Hour, j.hour)
+		}
+		return marshal(t, cp)
+	}
+	want := run(t, "")
+	for _, step := range []string{"temp", "synced", "renamed", "pruned", "deleted"} {
+		t.Run(step, func(t *testing.T) {
+			if got := run(t, step); !bytes.Equal(got, want) {
+				t.Errorf("crash %s: restored %s\nuncrashed restores %s", step, got, want)
+			}
+		})
+	}
+}
+
+// FuzzOpen feeds Open a journal directory holding two snapshots and three
+// segments whose newest segment and newest snapshot carry arbitrary bytes.
+// Open must not panic, and whatever it restores must be exactly the state
+// after some recorded hour, never a blend of two or a state never recorded.
+func FuzzOpen(f *testing.F) {
+	src := f.TempDir()
+	j := newJournal(f, src)
+	refs := map[string]bool{}
+	note := func() { refs[string(marshal(f, j.checkpoint()))] = true }
+	step := func(records int) {
+		for ; records > 0; records-- {
+			j.record(1)
+			note()
+		}
+	}
+	step(4)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		f.Fatal(err)
+	}
+	step(4)
+	if _, err := j.s.Cut(j.checkpoint()); err != nil { // replaced before it was written
+		f.Fatal(err)
+	}
+	step(4)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		f.Fatal(err)
+	}
+	step(2)
+	j.s.Close()
+
+	files := map[string][]byte{}
+	des, err := os.ReadDir(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, de := range des {
+		if files[de.Name()], err = os.ReadFile(filepath.Join(src, de.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
+	segs, _ := segments(src)
+	snaps := snapshotNames(src)
+	if len(segs) != 3 || len(snaps) != 2 {
+		f.Fatalf("seed directory holds segments %v and snapshots %v", segs, snaps)
+	}
+	newestSeg, newestSnap := segs[2].name, snaps[1]
+	seg, snap := files[newestSeg], files[newestSnap]
+	f.Add(seg, snap)
+	f.Add(seg[:len(seg)-7], snap)
+	f.Add(seg, []byte("{corrupt"))
+	f.Add([]byte{}, snap[:len(snap)/2])
+
+	f.Fuzz(func(t *testing.T, seg, snap []byte) {
+		dir := t.TempDir()
+		for name, b := range files {
+			switch name {
+			case newestSeg:
+				b = seg
+			case newestSnap:
+				b = snap
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, cp, _, err := Open(dir)
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		if got := marshal(t, cp); !refs[string(got)] {
+			t.Fatalf("restored %s, which no recorded hour left", got)
+		}
+	})
+}

@@ -4,10 +4,13 @@
 // — so a restart must not zero them. The design is the classic pairing of an
 // append-only JSON-lines WAL (one fsync'd, CRC-guarded record per recorded
 // hour) with periodic snapshots (atomic temp-file + fsync + rename, two
-// generations kept): restore loads the newest valid snapshot, falls back to
-// the older one if the newest is corrupt, and replays the WAL tail on top. A
-// torn or corrupt WAL tail is truncated and counted, never fatal; everything
-// before the tear is still good.
+// generations kept), split the way etcd splits its WAL: the log is a run of
+// numbered segment files, and each snapshot cuts it, so compaction deletes
+// whole segments the kept snapshots cover instead of rewriting the live log.
+// Restore loads the newest valid snapshot, falls back to the older one if the
+// newest is corrupt, and replays the segments on top. A torn or corrupt WAL
+// tail is truncated and counted, never fatal; everything before the tear is
+// still good.
 package state
 
 import (
@@ -19,7 +22,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"billcap/internal/budget"
 	"billcap/internal/core"
@@ -27,7 +32,11 @@ import (
 )
 
 const (
-	walName    = "wal.log"
+	// legacyWAL is the single log file of directories written before the
+	// log was segmented; Open reads it as segment 0, the oldest.
+	legacyWAL  = "wal.log"
+	segPrefix  = "wal-"
+	segSuffix  = ".log"
 	snapPrefix = "snap-"
 	snapSuffix = ".json"
 	// snapKeep is how many snapshot generations survive pruning: the newest
@@ -93,15 +102,28 @@ type RestoreInfo struct {
 	WALEntriesReplayed int `json:"walEntriesReplayed"`
 }
 
-// Store is an open state directory. Methods are not safe for concurrent use;
-// the controller's hour loop is sequential by construction.
+// Store is an open state directory. Append, Cut, WriteSnapshot and Close
+// share the open segment and must not run concurrently with one another.
+// A Cut's Write touches only snapshot files and segments older than the
+// cut, so it may run concurrently with any of them; writes take turns.
 type Store struct {
 	dir string
+
+	// wal is the open segment. top is the highest segment number the
+	// directory has used, so a cut never reuses one.
 	wal *os.File
-	// tail mirrors the entries currently durable in the WAL file, so
-	// WriteSnapshot can rewrite the WAL keeping exactly the records the
-	// oldest retained snapshot generation still needs for replay.
-	tail []Entry
+	top int
+
+	// snapMu serializes snapshot writes. cuts maps each snapshot file
+	// written since Open to the segment its cut began; a kept snapshot
+	// missing from it was written before Open and keeps every segment.
+	snapMu sync.Mutex
+	cuts   map[string]int
+
+	// crashAt, when set, runs at each named step of a snapshot write; an
+	// error stops the write there, leaving the files as a crash at that
+	// step would. Tests use it.
+	crashAt func(step string) error
 }
 
 // record is the on-disk framing: one JSON line per record, the payload's
@@ -132,9 +154,10 @@ func unseal(line []byte, v any) error {
 }
 
 // Open opens (creating if needed) the state directory, restores the newest
-// consistent checkpoint, and leaves the WAL ready for appends. A corrupt or
-// torn WAL tail is truncated in place; a corrupt snapshot falls back to the
-// previous generation and then to pure WAL replay.
+// consistent checkpoint, and leaves the newest segment ready for appends. A
+// corrupt or torn WAL record truncates its segment in place and drops every
+// later one; a corrupt snapshot falls back to the previous generation and
+// then to pure WAL replay.
 func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 	var info RestoreInfo
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -143,7 +166,11 @@ func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 
 	cp, fallbacks := loadSnapshot(dir)
 	info.SnapshotFallbacks = fallbacks
-	entries, corruptions, err := loadWAL(filepath.Join(dir, walName))
+	segs, err := segments(dir)
+	if err != nil {
+		return nil, nil, info, err
+	}
+	entries, open, corruptions, err := loadWAL(dir, segs)
 	if err != nil {
 		return nil, nil, info, err
 	}
@@ -159,11 +186,17 @@ func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 		info.Hour = cp.Hour
 	}
 
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	// A fresh directory's first segment is created like any log file,
+	// without a directory fsync.
+	s := &Store{dir: dir, top: 1, cuts: map[string]int{}}
+	name := segName(1)
+	if len(segs) > 0 {
+		s.top, name = segs[len(segs)-1].n, segs[open].name
+	}
+	if s.wal, err = os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, nil, info, fmt.Errorf("state: %w", err)
 	}
-	return &Store{dir: dir, wal: wal, tail: entries}, cp, info, nil
+	return s, cp, info, nil
 }
 
 // Append durably logs one recorded hour: the record is written and fsync'd
@@ -179,27 +212,67 @@ func (s *Store) Append(e Entry) error {
 	if err := s.wal.Sync(); err != nil {
 		return fmt.Errorf("state: %w", err)
 	}
-	s.tail = append(s.tail, e)
 	return nil
 }
 
-// WriteSnapshot atomically persists a checkpoint (temp file, fsync, rename,
-// directory fsync), prunes old generations, and compacts the WAL down to the
-// records the oldest retained snapshot still needs — so if the newest
-// snapshot turns out corrupt, the previous generation plus the WAL can still
-// reconstruct every hour. A crash between the rename and the compaction is
-// benign: replay skips WAL entries older than the snapshot's hour.
-func (s *Store) WriteSnapshot(cp Checkpoint) error {
+// A Cut is a checkpoint sealed at a segment boundary: it covers every
+// append before the cut, and later appends go to the segment the cut
+// began. Write persists it.
+type Cut struct {
+	s    *Store
+	name string // snapshot file name
+	line []byte // the sealed checkpoint
+	seg  int    // the segment the cut began
+}
+
+// Cut seals cp and cuts the log: later appends go to a new segment, created
+// and made durable (directory fsync) before Cut returns. The sealed bytes
+// share no memory with cp, so the caller may change what cp points at while
+// the Cut is written.
+func (s *Store) Cut(cp Checkpoint) (*Cut, error) {
 	line, err := seal(cp)
 	if err != nil {
-		return fmt.Errorf("state: %w", err)
+		return nil, fmt.Errorf("state: %w", err)
 	}
-	name := fmt.Sprintf("%s%08d%s", snapPrefix, cp.Hour, snapSuffix)
-	tmp, err := os.CreateTemp(s.dir, name+".tmp-")
+	n := s.top + 1
+	f, err := os.OpenFile(filepath.Join(s.dir, segName(n)), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("state: %w", err)
+	}
+	syncDir(s.dir)
+	// Every record in the old segment was fsync'd by its Append.
+	s.wal.Close()
+	s.wal, s.top = f, n
+	return &Cut{s: s, name: fmt.Sprintf("%s%08d%s", snapPrefix, cp.Hour, snapSuffix), line: line, seg: n}, nil
+}
+
+// WriteSnapshot cuts the log at cp and writes it (see Cut and Cut.Write).
+func (s *Store) WriteSnapshot(cp Checkpoint) error {
+	c, err := s.Cut(cp)
+	if err != nil {
+		return err
+	}
+	return c.Write()
+}
+
+// Write atomically persists the cut's checkpoint (temp file, fsync, rename,
+// directory fsync) and prunes old generations. Then it deletes, oldest
+// first, every segment older than the earliest cut among the kept
+// snapshots: a segment goes only once a durable snapshot covers it, so a
+// failed write or a crash at any step leaves a log that, replayed on top of
+// the newest valid snapshot, rebuilds every recorded hour.
+func (c *Cut) Write() error {
+	s := c.s
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if err := s.step("temp"); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(s.dir, c.name+".tmp-")
 	if err != nil {
 		return fmt.Errorf("state: %w", err)
 	}
-	if _, err := tmp.Write(append(line, '\n')); err != nil {
+	if _, err := tmp.Write(append(c.line, '\n')); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("state: %w", err)
@@ -209,97 +282,99 @@ func (s *Store) WriteSnapshot(cp Checkpoint) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("state: %w", err)
 	}
+	if err := s.step("synced"); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("state: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, c.name)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("state: %w", err)
 	}
+	if err := s.step("renamed"); err != nil {
+		return err
+	}
 	syncDir(s.dir)
+	s.cuts[c.name] = c.seg
 
 	// Prune: keep the newest snapKeep generations.
 	names := snapshotNames(s.dir)
-	for i := 0; i+snapKeep < len(names); i++ {
-		os.Remove(filepath.Join(s.dir, names[i]))
+	for len(names) > snapKeep {
+		os.Remove(filepath.Join(s.dir, names[0]))
+		delete(s.cuts, names[0])
+		names = names[1:]
 	}
-	names = snapshotNames(s.dir)
+	if err := s.step("pruned"); err != nil {
+		return err
+	}
 
-	// Compact the WAL: the oldest retained snapshot is the furthest back a
-	// restore can ever fall, so entries older than its hour are dead weight.
-	floor := cp.Hour
-	if len(names) > 0 {
-		if h, err := snapshotHour(names[0]); err == nil && h < floor {
-			floor = h
-		}
+	// Compact: a restore can fall back as far as the kept snapshot cut
+	// earliest, so the segments before its cut are dead weight.
+	floor := c.seg
+	for _, name := range names {
+		floor = min(floor, s.cuts[name]) // 0 for a snapshot from before Open
 	}
-	keep := s.tail[:0:0]
-	for _, e := range s.tail {
-		if e.Hour >= floor {
-			keep = append(keep, e)
-		}
-	}
-	return s.rewriteWAL(keep)
-}
-
-// rewriteWAL atomically replaces the WAL file with the given entries and
-// repoints the append handle at the new file.
-func (s *Store) rewriteWAL(entries []Entry) error {
-	tmp, err := os.CreateTemp(s.dir, walName+".tmp-")
+	segs, err := segments(s.dir)
 	if err != nil {
-		return fmt.Errorf("state: %w", err)
+		return err
 	}
-	for _, e := range entries {
-		line, err := seal(e)
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("state: %w", err)
-		}
-		if _, err := tmp.Write(append(line, '\n')); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("state: %w", err)
+	for _, sg := range segs {
+		if sg.n >= floor || os.Remove(filepath.Join(s.dir, sg.name)) != nil {
+			break
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("state: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("state: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, walName)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("state: %w", err)
-	}
-	syncDir(s.dir)
-
-	wal, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("state: %w", err)
-	}
-	s.wal.Close()
-	s.wal = wal
-	s.tail = entries
-	return nil
+	return s.step("deleted")
 }
 
-// snapshotHour parses the hour out of a snapshot file name.
-func snapshotHour(name string) (int, error) {
-	var h int
-	_, err := fmt.Sscanf(name, snapPrefix+"%d"+snapSuffix, &h)
-	return h, err
+func (s *Store) step(name string) error {
+	if s.crashAt == nil {
+		return nil
+	}
+	return s.crashAt(name)
 }
 
-// Close releases the WAL file handle.
+// Close releases the open segment's file handle.
 func (s *Store) Close() error { return s.wal.Close() }
 
 // Dir returns the state directory path.
 func (s *Store) Dir() string { return s.dir }
+
+// segment is one WAL file: its number and its name.
+type segment struct {
+	n    int
+	name string
+}
+
+func segName(n int) string { return fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix) }
+
+// segments lists the WAL segments oldest-first: the legacy log as number 0,
+// then the numbered segments in order.
+func segments(dir string) ([]segment, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("state: %w", err)
+	}
+	var segs []segment
+	for _, de := range des {
+		name := de.Name()
+		if name == legacyWAL {
+			segs = append(segs, segment{0, name})
+			continue
+		}
+		num, ok := strings.CutPrefix(name, segPrefix)
+		if num, ok = strings.CutSuffix(num, segSuffix); !ok {
+			continue
+		}
+		if n, err := strconv.Atoi(num); err == nil && n > 0 && name == segName(n) {
+			segs = append(segs, segment{n, name})
+		}
+	}
+	sort.Slice(segs, func(a, b int) bool { return segs[a].n < segs[b].n })
+	return segs, nil
+}
 
 // snapshotNames lists snapshot files sorted oldest-first (the zero-padded
 // hour in the name makes lexicographic order chronological).
@@ -337,46 +412,66 @@ func loadSnapshot(dir string) (*Checkpoint, int) {
 	return nil, fallbacks
 }
 
-// loadWAL reads every valid record and truncates the file at the first torn
-// or corrupt one: records past a tear are unordered garbage by WAL semantics.
-func loadWAL(path string) ([]Entry, int, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
+// loadWAL reads the segments in order and returns their valid records, the
+// index of the segment appends continue in and the corruptions counted. At
+// the first torn or corrupt record it deletes every later segment, newest
+// first, then truncates that one where the tear begins: records past a tear
+// are unordered garbage by WAL semantics.
+func loadWAL(dir string, segs []segment) ([]Entry, int, int, error) {
+	var entries []Entry
+	for k, sg := range segs {
+		path := filepath.Join(dir, sg.name)
+		got, good, torn, err := readSegment(path)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		entries = append(entries, got...)
+		if !torn {
+			continue
+		}
+		for i := len(segs) - 1; i > k; i-- {
+			if err := os.Remove(filepath.Join(dir, segs[i].name)); err != nil {
+				return nil, 0, 1, fmt.Errorf("state: dropping WAL segments past a tear: %w", err)
+			}
+		}
+		if err := os.Truncate(path, good); err != nil {
+			return nil, 0, 1, fmt.Errorf("state: truncating corrupt WAL tail: %w", err)
+		}
+		return entries, k, 1, nil
 	}
+	return entries, len(segs) - 1, 0, nil
+}
+
+// readSegment reads one segment's valid records and the length of the
+// prefix they span; torn reports bytes past it that form no valid record.
+func readSegment(path string) (entries []Entry, good int64, torn bool, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("state: %w", err)
+		return nil, 0, false, fmt.Errorf("state: %w", err)
 	}
 	defer f.Close()
 
-	var entries []Entry
-	var good int64
-	corruptions := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var e Entry
-		if err := unseal(line, &e); err != nil {
-			corruptions++
+		if unseal(line, &e) != nil {
+			torn = true
 			break
 		}
 		entries = append(entries, e)
 		good += int64(len(line)) + 1
 	}
-	if err := sc.Err(); err != nil {
-		corruptions++
+	if sc.Err() != nil {
+		torn = true
 	}
-
-	if fi, err := os.Stat(path); err == nil && fi.Size() > good {
-		if corruptions == 0 {
-			corruptions++ // trailing bytes that never formed a full line
-		}
-		if err := os.Truncate(path, good); err != nil {
-			return nil, corruptions, fmt.Errorf("state: truncating corrupt WAL tail: %w", err)
-		}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("state: %w", err)
 	}
-	return entries, corruptions, nil
+	// Trailing bytes that never formed a full line are a tear too.
+	return entries, good, torn || fi.Size() > good, nil
 }
 
 // Replay folds WAL entries on top of a snapshot and returns the resulting

@@ -13,7 +13,7 @@ import (
 	"billcap/internal/timeseries"
 )
 
-func newLedger(t *testing.T, hours int) *budget.Budgeter {
+func newLedger(t testing.TB, hours int) *budget.Budgeter {
 	t.Helper()
 	pred := make(timeseries.Series, hours)
 	for i := range pred {
@@ -151,7 +151,7 @@ func TestCorruptWALTailTruncated(t *testing.T) {
 	s.Close()
 
 	// Simulate a torn write: half a record at the end.
-	walPath := filepath.Join(dir, walName)
+	walPath := newestSegment(t, dir)
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestCRCMismatchDropsRecord(t *testing.T) {
 	s.Close()
 
 	// Flip the second record's spend in place: still valid JSON, wrong CRC.
-	walPath := filepath.Join(dir, walName)
+	walPath := newestSegment(t, dir)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestCorruptSnapshotFallsBackAndReplaysWAL(t *testing.T) {
 	s.Close()
 
 	// Corrupt the newest snapshot wholesale: restore must fall back to the
-	// hour-1 generation and rebuild hour 1 from the compacted WAL.
+	// hour-1 generation and rebuild hour 1 from the segment its cut began.
 	names := snapshotNames(dir)
 	if len(names) != 2 {
 		t.Fatalf("want 2 snapshot generations, have %v", names)
@@ -318,8 +318,9 @@ func TestReplaySkipsSupersededEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := ref.Snapshot()
-	// The WAL still holds hour 0 (crash between snapshot rename and WAL
-	// truncation): replay must skip it, not double-record.
+	// The WAL still holds hour 0 (crash between the snapshot's rename and the
+	// deletion of the segment it covers): replay must skip it, not
+	// double-record.
 	cp, replayed, err := Replay(&Checkpoint{Hour: 1, Budget: &snap}, []Entry{{Hour: 0, SpentUSD: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +350,7 @@ func TestOpenIgnoresRetiredForecastKeys(t *testing.T) {
 	entry := map[string]any{"hour": 1, "spentUSD": 7, "ewma": ewma}
 	for name, v := range map[string]any{
 		fmt.Sprintf("%s%08d%s", snapPrefix, 1, snapSuffix): snap,
-		walName: entry,
+		legacyWAL: entry,
 	} {
 		line, err := seal(v)
 		if err != nil {
