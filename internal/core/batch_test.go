@@ -26,7 +26,7 @@ func TestDecideBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := simWeek(5, d.PredictedCostUSD*0.5, d.PredictedCostUSD*10)
+	ins := simWeek(5, 3, d.PredictedCostUSD*0.5, d.PredictedCostUSD*10)
 
 	want := make([]Decision, len(ins))
 	wantErr := make([]error, len(ins))

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"billcap/internal/lp"
 	"billcap/internal/milp"
 )
 
@@ -26,48 +27,38 @@ const (
 	numKinds
 )
 
-// rootBasis is one kind's root LP basis from its last optimal solve, with
-// the model's variable and row counts it was taken at.
-type rootBasis struct {
-	basis        []int
-	nvars, ncons int
-}
-
 // SolveCache carries each solve kind's root LP basis from one hour to the
 // next (paper workloads are diurnal: hour h+1 looks like hour h with shifted
 // numbers, so the last optimal basis is usually a few pivots from the new
-// one). A stored basis is offered only to a model with the same variable and
-// row counts, and the LP's crash screen turns any other mismatch into a cold
-// start, so a stale entry costs time, never a wrong answer. All methods are
-// safe for concurrent use.
+// one). The basis names its columns (lp.Basis), so it crashes the next
+// hour's model whatever its shape: price segments moving into or out of
+// reach change the model's variable and row counts, and the LP's crash
+// repairs what no longer fits. A stale entry costs pivots, never a wrong
+// answer. All methods are safe for concurrent use.
 type SolveCache struct {
 	mu    sync.Mutex
-	bases [numKinds]rootBasis
+	bases [numKinds]lp.Basis
 }
 
-// basis returns kind's stored basis when it was taken on a model of the
-// given shape, nil otherwise.
-func (c *SolveCache) basis(kind solveKind, nvars, ncons int) []int {
+// basis returns kind's stored basis (empty before its first optimal solve).
+func (c *SolveCache) basis(kind solveKind) lp.Basis {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.bases[kind]; e.nvars == nvars && e.ncons == ncons {
-		return e.basis
-	}
-	return nil
+	return c.bases[kind]
 }
 
-func (c *SolveCache) store(kind solveKind, basis []int, nvars, ncons int) {
+func (c *SolveCache) store(kind solveKind, b lp.Basis) {
 	c.mu.Lock()
-	c.bases[kind] = rootBasis{basis: basis, nvars: nvars, ncons: ncons}
+	c.bases[kind] = b
 	c.mu.Unlock()
 }
 
 // warmOptions crashes this kind's root LP from the basis its last optimal
-// solve left, when the cache is on and the model has that solve's shape.
-// Tariff hours neither read nor write the cache (see rememberSolve).
-func (s *System) warmOptions(so milp.Options, kind solveKind, m *milp.Problem, in HourInput) milp.Options {
+// solve left, when the cache is on. Tariff hours neither read nor write the
+// cache (see rememberSolve).
+func (s *System) warmOptions(so milp.Options, kind solveKind, in HourInput) milp.Options {
 	if s.cache != nil && !in.hasTariffExtras() {
-		so.StartBasis = s.cache.basis(kind, m.NumVars(), m.NumConstraints())
+		so.StartBasis = s.cache.basis(kind)
 	}
 	return so
 }
@@ -77,9 +68,9 @@ func (s *System) warmOptions(so milp.Options, kind solveKind, m *milp.Problem, i
 // batteries) neither read nor write the cache: the carried basis was
 // measured only on energy-only hours, and skipping them keeps a tariff
 // hour's answer independent of which hour solved before it.
-func (s *System) rememberSolve(kind solveKind, sol milp.Solution, m *milp.Problem, in HourInput) {
+func (s *System) rememberSolve(kind solveKind, sol milp.Solution, in HourInput) {
 	if s.cache == nil || in.hasTariffExtras() || sol.Status != milp.Optimal {
 		return
 	}
-	s.cache.store(kind, sol.RootBasis, m.NumVars(), m.NumConstraints())
+	s.cache.store(kind, sol.RootBasis)
 }

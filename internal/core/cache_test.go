@@ -4,61 +4,77 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"billcap/internal/dcmodel"
+	"billcap/internal/milp"
+	"billcap/internal/pricing"
 )
 
-// simWeek builds a deterministic pseudo-diurnal week of inputs that walks
-// through every branch of the two-step algorithm: abundant and tight budgets,
-// light and heavy hours, and a few single-site outages.
-func simWeek(seed int64, tightBudget, looseBudget float64) []HourInput {
+// simWeek builds a deterministic pseudo-diurnal week of inputs for n sites
+// that walks through every branch of the two-step algorithm: abundant and
+// tight budgets, light and heavy hours, and a few single-site outages. Load
+// scales with the fleet, and site i's background demand follows the paper
+// site it copies, shifted 7 MW per cycle like pricing.Synthetic's price
+// thresholds, so demand moves price segments into and out of reach.
+func simWeek(seed int64, n int, tightBudget, looseBudget float64) []HourInput {
 	r := rand.New(rand.NewSource(seed))
 	ins := make([]HourInput, 168)
 	for h := range ins {
 		diurnal := 0.6 + 0.4*math.Sin(2*math.Pi*float64(h%24)/24)
-		total := 1.4e12 * diurnal * (0.9 + 0.2*r.Float64())
+		total := 1.4e12 * float64(n) / 3 * diurnal * (0.9 + 0.2*r.Float64())
 		in := HourInput{
 			Hour:          h,
 			TotalLambda:   total,
 			PremiumLambda: total * (0.3 + 0.2*r.Float64()),
-			DemandMW: []float64{
-				150 + 60*r.Float64(),
-				160 + 60*r.Float64(),
-				140 + 60*r.Float64(),
-			},
-			BudgetUSD: looseBudget,
+			DemandMW:      make([]float64, n),
+			BudgetUSD:     looseBudget,
+		}
+		for i := range in.DemandMW {
+			in.DemandMW[i] = []float64{150, 160, 140}[i%3] + 7*float64(i/3) + 60*r.Float64()
 		}
 		if h%3 == 1 {
 			in.BudgetUSD = tightBudget
 		}
 		if h%41 == 40 {
-			in.Down = []bool{false, false, false}
-			in.Down[r.Intn(3)] = true
+			in.Down = make([]bool, n)
+			in.Down[r.Intn(n)] = true
 		}
 		ins[h] = in
 	}
 	return ins
 }
 
-// TestSolverCacheWeekMatchesCold is the solve cache's end-to-end equivalence
-// property: a seeded simulated week decided hour by hour with the cache on
-// (each solve kind's root basis carried to the next hour) must reproduce the
-// cold system's decisions — same branch every hour and the same step
-// objective to within the solver's optimality gap — while the carried bases
-// actually save LP work. Run under -race in CI.
-func TestSolverCacheWeekMatchesCold(t *testing.T) {
-	cold := paperSystem(t, Options{})
-	warm := paperSystem(t, Options{SolverCache: true})
-
-	// Calibrate the tight budget at half of an average hour's uncapped cost,
-	// so step 2 binds often.
-	probe := HourInput{TotalLambda: 1.2e12, PremiumLambda: 6e11, DemandMW: demand3(), BudgetUSD: math.Inf(1)}
-	d, err := cold.DecideHour(probe)
+// calibratedWeek is simWeek with the tight budget at half of an average
+// hour's uncapped cost on s, so step 2 binds often, and the loose one at ten
+// times it.
+func calibratedWeek(t *testing.T, s *System, seed int64) []HourInput {
+	t.Helper()
+	n := s.NumSites()
+	probe := HourInput{
+		TotalLambda:   1.2e12 * float64(n) / 3,
+		PremiumLambda: 6e11 * float64(n) / 3,
+		DemandMW:      make([]float64, n),
+		BudgetUSD:     math.Inf(1),
+	}
+	for i := range probe.DemandMW {
+		probe.DemandMW[i] = demand3()[i%3] + 7*float64(i/3)
+	}
+	d, err := s.DecideHour(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, loose := d.PredictedCostUSD*0.5, d.PredictedCostUSD*10
+	return simWeek(seed, n, d.PredictedCostUSD*0.5, d.PredictedCostUSD*10)
+}
 
-	var coldStats, warmStats SolverStats
-	for _, in := range simWeek(7, tight, loose) {
+// weekMatchesCold decides a seeded week hour by hour on a cold system and on
+// one with the solve cache on (each solve kind's root basis carried to the
+// next hour) and checks that the cached system reproduces the cold
+// decisions: same branch every hour and the same step objective to within
+// the solver's optimality gap, each decision feasible in its own right. It
+// returns both weeks' solver stats.
+func weekMatchesCold(t *testing.T, cold, warm *System) (coldStats, warmStats SolverStats) {
+	t.Helper()
+	for _, in := range calibratedWeek(t, cold, 7) {
 		dc, errC := cold.DecideHour(in)
 		dw, errW := warm.DecideHour(in)
 		if (errC == nil) != (errW == nil) {
@@ -109,13 +125,89 @@ func TestSolverCacheWeekMatchesCold(t *testing.T) {
 				in.Hour, dw.PredictedCostUSD, in.BudgetUSD)
 		}
 	}
+	if coldStats.WarmStarts != 0 {
+		t.Errorf("the cold system reports %d warm starts", coldStats.WarmStarts)
+	}
+	t.Logf("pivots warm %d / cold %d, nodes warm %d / cold %d, warm roots %d of %d",
+		warmStats.LPIterations, coldStats.LPIterations, warmStats.Nodes, coldStats.Nodes,
+		warmStats.WarmStarts, warmStats.Solves)
+	return coldStats, warmStats
+}
 
-	// The carried bases must engage: the week's root LPs start near their
-	// optima, so the warm week spends fewer simplex pivots than the cold one.
+// TestSolverCacheWeekMatchesCold is the solve cache's end-to-end equivalence
+// property on the paper's three sites (see weekMatchesCold), and the carried
+// bases must save LP work: the week's root LPs start near their optima, so
+// the warm week spends fewer simplex pivots than the cold one. Run under
+// -race in CI.
+func TestSolverCacheWeekMatchesCold(t *testing.T) {
+	coldStats, warmStats := weekMatchesCold(t, paperSystem(t, Options{}), paperSystem(t, Options{SolverCache: true}))
 	if warmStats.LPIterations >= coldStats.LPIterations {
 		t.Errorf("warm week spent %d pivots, cold %d — the carried root bases saved no LP work",
 			warmStats.LPIterations, coldStats.LPIterations)
 	}
-	t.Logf("pivots warm %d / cold %d, nodes warm %d / cold %d",
-		warmStats.LPIterations, coldStats.LPIterations, warmStats.Nodes, coldStats.Nodes)
+}
+
+// TestSolverCache13DCWeekMatchesCold holds the same checks on the paper's
+// §IV-C scale, 13 synthetic sites with 5-level prices, where demand moves
+// price segments into and out of reach and so changes the model's shape from
+// hour to hour. The carried basis survives those changes: at least 90% of
+// the week's root LPs finish from it, and the week spends fewer pivots than
+// cold.
+func TestSolverCache13DCWeekMatchesCold(t *testing.T) {
+	coldStats, warmStats := weekMatchesCold(t, syntheticSystem(t, 13, Options{}), syntheticSystem(t, 13, Options{SolverCache: true}))
+	if warmStats.WarmStarts*10 < warmStats.Solves*9 {
+		t.Errorf("%d of %d root LPs finished from the carried basis, want at least 90%%",
+			warmStats.WarmStarts, warmStats.Solves)
+	}
+	if warmStats.LPIterations >= coldStats.LPIterations {
+		t.Errorf("warm week spent %d pivots, cold %d — the carried root bases saved no LP work",
+			warmStats.LPIterations, coldStats.LPIterations)
+	}
+}
+
+// TestHourModelRowKeysUnique: a carried basis names a slack by its row's key
+// (relation and variable names), so two rows of one hour model sharing a
+// key would make the basis ambiguous. Every model the two-step algorithm
+// builds — step 1 for all and for premium load, step 2 capped and uncapped —
+// must keep its keys distinct, on every hour of the paper-site week, the
+// 13-site week and the heterogeneous paper fleet's week.
+func TestHourModelRowKeysUnique(t *testing.T) {
+	hetero, err := NewSystem(dcmodel.PaperHeteroSites(), pricing.PaperPolicies(pricing.Policy1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*System{
+		"paper":        paperSystem(t, Options{}),
+		"synthetic-13": syntheticSystem(t, 13, Options{}),
+		"paper-hetero": hetero,
+	} {
+		for _, in := range simWeek(7, s.NumSites(), 5e4, 5e5) {
+			inPrem := in
+			inPrem.TotalLambda, inPrem.BudgetUSD = in.PremiumLambda, math.Inf(1)
+			var models []*milp.Problem
+			for _, lambda := range []float64{in.TotalLambda, in.PremiumLambda} {
+				m, _, err := s.buildMinCost(in, lambda, lambdaScale(lambda))
+				if err != nil {
+					t.Fatalf("%s hour %d: %v", name, in.Hour, err)
+				}
+				models = append(models, m)
+			}
+			for _, x := range []HourInput{in, inPrem} {
+				m, _, err := s.buildMaxThroughput(x, lambdaScale(x.TotalLambda))
+				if err != nil {
+					t.Fatalf("%s hour %d: %v", name, in.Hour, err)
+				}
+				models = append(models, m)
+			}
+			for k, m := range models {
+				seen := map[uint64]int{}
+				for row, key := range m.RowKeys() {
+					if other, dup := seen[key]; dup {
+						t.Fatalf("%s hour %d model %d: rows %d and %d share key %#x", name, in.Hour, k, other, row, key)
+					}
+					seen[key] = row
+				}
+			}
+		}
+	}
 }

@@ -32,6 +32,7 @@ type Metrics struct {
 
 	lpRefactorizations *obs.Counter
 	lpBasisUpdates     *obs.Counter
+	warmStarts         *obs.Counter
 
 	decompSolves     *obs.Counter
 	decompIterations *obs.Counter
@@ -74,6 +75,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"LU basis refactorizations performed by the sparse LP core."),
 		lpBasisUpdates: reg.Counter("billcap_lp_basis_updates_total",
 			"Eta-file basis updates performed by the sparse LP core between refactorizations."),
+		warmStarts: reg.Counter("billcap_solver_warmstart_hits_total",
+			"MILP solves whose root LP finished from the basis carried from an earlier hour."),
 		decompSolves: reg.Counter("billcap_decomp_solves_total",
 			"Step solves answered by Lagrangian dual decomposition instead of the exact MILP."),
 		decompIterations: reg.Counter("billcap_decomp_iterations_total",
@@ -156,6 +159,7 @@ func (m *Metrics) observe(s *System, dec Decision, err error, elapsed time.Durat
 	m.milpPivots.Add(float64(dec.Solver.LPIterations))
 	m.lpRefactorizations.Add(float64(dec.Solver.LPRefactorizations))
 	m.lpBasisUpdates.Add(float64(dec.Solver.LPBasisUpdates))
+	m.warmStarts.Add(float64(dec.Solver.WarmStarts))
 	m.milpIncumbents.Add(float64(dec.Solver.Incumbents))
 	m.milpSeconds.Observe(dec.Solver.WallTime.Seconds())
 	m.decompSolves.Add(float64(dec.Solver.DecompSolves))

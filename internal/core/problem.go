@@ -38,6 +38,11 @@ type SolverStats struct {
 	// relaxations. A relaxation the dense fallback answered adds to neither.
 	LPRefactorizations int
 	LPBasisUpdates     int
+	// WarmStarts counts the MILP solves whose root LP finished from the
+	// basis carried from an earlier hour (Options.SolverCache). Omitted from
+	// JSON when zero, so the ladder state journaled without the cache keeps
+	// its bytes.
+	WarmStarts int `json:",omitempty"`
 	// DecompSolves counts hour solves routed to the dual-decomposition path
 	// (Options.Decompose above the fleet-size threshold); all stay 0 on the
 	// exact MILP path.
@@ -62,6 +67,9 @@ func (st *SolverStats) add(sol milp.Solution) {
 	st.WallTime += sol.Elapsed
 	st.LPRefactorizations += sol.LPRefactorizations
 	st.LPBasisUpdates += sol.LPBasisUpdates
+	if sol.RootWarm {
+		st.WarmStarts++
+	}
 	if sol.Status == milp.TimeLimit {
 		st.Timeouts++
 	}
@@ -91,6 +99,7 @@ func (st *SolverStats) Accumulate(o SolverStats) {
 	st.WallTime += o.WallTime
 	st.LPRefactorizations += o.LPRefactorizations
 	st.LPBasisUpdates += o.LPBasisUpdates
+	st.WarmStarts += o.WarmStarts
 	st.DecompSolves += o.DecompSolves
 	st.DecompIterations += o.DecompIterations
 	if o.DecompGap > st.DecompGap {
@@ -494,11 +503,11 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 	if err != nil {
 		return Decision{}, err
 	}
-	sol := m.SolveWithOptions(s.warmOptions(so, kind, m, in))
+	sol := m.SolveWithOptions(s.warmOptions(so, kind, in))
 	if stats != nil {
 		stats.add(sol)
 	}
-	s.rememberSolve(kind, sol, m, in)
+	s.rememberSolve(kind, sol, in)
 	switch sol.Status {
 	case milp.Optimal:
 	case milp.TimeLimit:
@@ -575,38 +584,15 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 		return Decision{}, err
 	}
 	scale := lambdaScale(in.TotalLambda)
-	m, vars, err := s.buildBase(in, scale, in.TotalLambda)
+	m, vars, err := s.buildMaxThroughput(in, scale)
 	if err != nil {
 		return Decision{}, err
 	}
-	// Σ x ≤ λ: cannot serve more than arrives.
-	terms := make([]lp.Term, len(vars))
-	for i, v := range vars {
-		terms[i] = lp.Term{Var: v.x, Coef: 1}
-	}
-	m.AddConstraint(terms, lp.LE, in.TotalLambda/scale)
-	// Budget row (omitted when capping is off). The two-settlement position
-	// is a sunk constant, so the controllable spend must fit what remains of
-	// the budget after it.
-	if !math.IsInf(in.BudgetUSD, 1) {
-		m.AddConstraint(s.costTerms(vars, in), lp.LE, s.dispatchBudgetUSD(in))
-	}
-	// max Σ x − ε·cost.
-	m.SetMaximize(true)
-	for _, v := range vars {
-		m.SetObjectiveCoef(v.x, 1)
-	}
-	for _, t := range s.costTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
-	}
-	for _, t := range batteryValueTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
-	}
-	sol := m.SolveWithOptions(s.warmOptions(so, kind, m, in))
+	sol := m.SolveWithOptions(s.warmOptions(so, kind, in))
 	if stats != nil {
 		stats.add(sol)
 	}
-	s.rememberSolve(kind, sol, m, in)
+	s.rememberSolve(kind, sol, in)
 	switch {
 	case sol.Status == milp.Optimal:
 	case sol.Status == milp.TimeLimit && len(sol.X) > 0:
@@ -624,4 +610,36 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 		d.Solver = *stats
 	}
 	return d, nil
+}
+
+// buildMaxThroughput builds step 2's model: the shared model, Σ x ≤ λ, the
+// budget row (omitted when capping is off) and the objective
+// max Σ x − ε·cost.
+func (s *System) buildMaxThroughput(in HourInput, scale float64) (*milp.Problem, []siteVars, error) {
+	m, vars, err := s.buildBase(in, scale, in.TotalLambda)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Σ x ≤ λ: cannot serve more than arrives.
+	terms := make([]lp.Term, len(vars))
+	for i, v := range vars {
+		terms[i] = lp.Term{Var: v.x, Coef: 1}
+	}
+	m.AddConstraint(terms, lp.LE, in.TotalLambda/scale)
+	// The two-settlement position is a sunk constant, so the controllable
+	// spend must fit what remains of the budget after it.
+	if !math.IsInf(in.BudgetUSD, 1) {
+		m.AddConstraint(s.costTerms(vars, in), lp.LE, s.dispatchBudgetUSD(in))
+	}
+	m.SetMaximize(true)
+	for _, v := range vars {
+		m.SetObjectiveCoef(v.x, 1)
+	}
+	for _, t := range s.costTerms(vars, in) {
+		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
+	}
+	for _, t := range batteryValueTerms(vars, in) {
+		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
+	}
+	return m, vars, nil
 }

@@ -90,13 +90,14 @@ type Options struct {
 	// branch-and-bound remains the oracle.
 	DecomposeThreshold int
 	// SolverCache carries each solve kind's root LP basis from one hour to
-	// the next: the root LP of an hour whose model has the same variable and
-	// row counts as the kind's last optimal solve crashes from that solve's
-	// basis instead of starting cold. Hours with tariff extras neither read
-	// nor write it. Decisions match cold solves up to the solver's
-	// optimality gap, but the basis an hour starts from depends on which
-	// hour of its kind solved last, so answers can move in the last ulps
-	// with solve order; that is why it stays off by default.
+	// the next: the root LP crashes from the basis the kind's last optimal
+	// solve left instead of starting cold, even when price segments moving
+	// into or out of reach changed the model's shape (the basis names its
+	// columns, and the crash repairs what no longer fits). Hours with
+	// tariff extras neither read nor write it. Decisions match cold solves
+	// up to the solver's optimality gap, but the basis an hour starts from
+	// depends on which hour of its kind solved last, so answers can move in
+	// the last ulps with solve order; that is why it stays off by default.
 	SolverCache bool
 }
 

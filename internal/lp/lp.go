@@ -8,7 +8,8 @@
 // matrix with an LU-factorized basis, eta-file updates between periodic
 // refactorizations, native bounded-variable handling and Devex pricing.
 // Branching bounds and binary bounds are bound changes, not rows, so the
-// basis never grows during branch and bound.
+// basis never grows during branch and bound. A solve can also crash from a
+// Basis carried from a related problem of another shape (Options.CrashBasis).
 //
 // The original dense two-phase tableau simplex (variable bounds lowered into
 // explicit rows) stays inside the package, unexported and cold-only, for two
@@ -18,8 +19,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Rel is the relation of a constraint row to its right-hand side.
@@ -51,11 +54,16 @@ type Term struct {
 	Coef float64 // coefficient
 }
 
-// Constraint is a single linear row a·x (rel) b stored densely.
+// Constraint is a single linear row a·x (rel) b stored sparsely: Terms holds
+// one entry per variable the row references, sorted by variable index, and a
+// variable given more than once carries the sum of its coefficients, added
+// in the order they were given. An entry whose coefficients sum to zero
+// stays (the row still references the variable); every consumer skips zero
+// coefficients exactly as it skipped the zeros of a dense row.
 type Constraint struct {
-	Coeffs []float64
-	Rel    Rel
-	RHS    float64
+	Terms []Term
+	Rel   Rel
+	RHS   float64
 }
 
 // Problem is a linear program under construction. The zero value is an empty
@@ -86,9 +94,6 @@ func (p *Problem) AddVar(name string, objCoef float64) int {
 	p.names = append(p.names, name)
 	p.lower = append(p.lower, 0)
 	p.upper = append(p.upper, math.Inf(1))
-	for i := range p.constraints {
-		p.constraints[i].Coeffs = append(p.constraints[i].Coeffs, 0)
-	}
 	return len(p.obj) - 1
 }
 
@@ -137,16 +142,34 @@ func (p *Problem) ObjectiveCoef(v int) float64 { return p.obj[v] }
 func (p *Problem) SetObjectiveCoef(v int, c float64) { p.obj[v] = c }
 
 // AddConstraint appends the row Σ terms (rel) rhs and returns its index.
-// Terms referencing the same variable accumulate.
+// Terms referencing the same variable accumulate, in the order given. The
+// caller's slice is copied, never retained.
 func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) int {
-	row := make([]float64, len(p.obj))
-	for _, t := range terms {
+	row := slices.Clone(terms)
+	sorted := true
+	for k, t := range row {
 		if t.Var < 0 || t.Var >= len(p.obj) {
 			panic(fmt.Sprintf("lp: constraint references unknown variable %d", t.Var))
 		}
-		row[t.Var] += t.Coef
+		if k > 0 && t.Var <= row[k-1].Var {
+			sorted = false
+		}
 	}
-	p.constraints = append(p.constraints, Constraint{Coeffs: row, Rel: rel, RHS: rhs})
+	if !sorted {
+		// A stable sort keeps each variable's repeats in the order given,
+		// so merging them adds the coefficients in that order.
+		slices.SortStableFunc(row, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+		out := row[:1]
+		for _, t := range row[1:] {
+			if last := &out[len(out)-1]; last.Var == t.Var {
+				last.Coef += t.Coef
+			} else {
+				out = append(out, t)
+			}
+		}
+		row = out
+	}
+	p.constraints = append(p.constraints, Constraint{Terms: row, Rel: rel, RHS: rhs})
 	return len(p.constraints) - 1
 }
 
@@ -156,25 +179,19 @@ func (p *Problem) Constraint(k int) Constraint { return p.constraints[k] }
 // SetRHS overwrites the right-hand side of constraint row k.
 func (p *Problem) SetRHS(k int, rhs float64) { p.constraints[k].RHS = rhs }
 
-// Clone returns a deep copy of the problem, so that the copy can gain extra
-// rows (e.g. branching bounds) without disturbing the original.
+// Clone returns a copy of the problem, so that the copy can gain extra rows
+// (e.g. branching bounds), variables, bounds or right-hand sides without
+// disturbing the original. The rows' term slices are shared: nothing
+// mutates a row's terms once AddConstraint has stored them.
 func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		obj:      append([]float64(nil), p.obj...),
-		names:    append([]string(nil), p.names...),
-		lower:    append([]float64(nil), p.lower...),
-		upper:    append([]float64(nil), p.upper...),
-		maximize: p.maximize,
+	return &Problem{
+		obj:         slices.Clone(p.obj),
+		names:       slices.Clone(p.names),
+		lower:       slices.Clone(p.lower),
+		upper:       slices.Clone(p.upper),
+		constraints: slices.Clone(p.constraints),
+		maximize:    p.maximize,
 	}
-	q.constraints = make([]Constraint, len(p.constraints))
-	for i, c := range p.constraints {
-		q.constraints[i] = Constraint{
-			Coeffs: append([]float64(nil), c.Coeffs...),
-			Rel:    c.Rel,
-			RHS:    c.RHS,
-		}
-	}
-	return q
 }
 
 // Status is the outcome of a solve.
@@ -220,6 +237,9 @@ type Solution struct {
 	// answered instead.
 	Refactorizations int
 	BasisUpdates     int
+	// Warm reports that the solve finished from Options.CrashBasis; false
+	// for a cold solve, including one a failed crash fell back to.
+	Warm bool
 }
 
 // Residual describes how much a solution violates one constraint.
@@ -245,9 +265,9 @@ func (p *Problem) CheckFeasible(x []float64, tol float64) []Residual {
 	}
 	for k, c := range p.constraints {
 		dot := 0.0
-		for j, a := range c.Coeffs {
-			if j < len(x) {
-				dot += a * x[j]
+		for _, t := range c.Terms {
+			if t.Var < len(x) {
+				dot += t.Coef * x[t.Var]
 			}
 		}
 		var viol float64

@@ -148,7 +148,7 @@ func TestAddVarAfterConstraint(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 1)
 	p.AddConstraint([]Term{{x, 1}}, GE, 2)
-	y := p.AddVar("y", 1) // must extend the existing row with a zero
+	y := p.AddVar("y", 1) // the existing row does not reference it
 	p.AddConstraint([]Term{{y, 1}}, GE, 3)
 	s := p.Solve()
 	if s.Status != Optimal || !near(s.Objective, 5, 1e-9) {

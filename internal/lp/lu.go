@@ -63,6 +63,72 @@ func (f *luFactor) clone() *luFactor {
 // (budget, Σλ) last. Returns ok == false when the basis is numerically
 // singular.
 func factorize(pr *revProblem, basis []int) (*luFactor, bool) {
+	e := newElim(pr)
+	f := e.f
+	for k := range f.colOrder {
+		f.colOrder[k] = k
+	}
+	sortByNNZ(pr, f.colOrder, func(k int) int { return basis[k] })
+	for k := 0; k < pr.m; k++ {
+		if !e.column(basis[f.colOrder[k]]) {
+			return nil, false // singular basis
+		}
+	}
+	return f, true
+}
+
+// factorizeRepair factors a crash basis with rank repair: the candidate
+// columns (reordered in place) go through the same elimination as
+// factorize, but a column with no usable pivot (dependent on the ones before
+// it, or one too many) is dropped instead of failing the factorization, and
+// the slack of every row no accepted column pivoted fills the basis up to m
+// columns. The slacks factor trivially, one unit pivot each, so the repair
+// costs no second factorization. The returned basis lists the columns in
+// elimination order.
+func factorizeRepair(pr *revProblem, cand []int) (*luFactor, []int) {
+	e := newElim(pr)
+	f := e.f
+	sortByNNZ(pr, cand, func(j int) int { return j })
+	basis := make([]int, 0, pr.m)
+	for _, j := range cand {
+		if len(basis) == pr.m {
+			break
+		}
+		if e.column(j) {
+			basis = append(basis, j)
+		}
+	}
+	for i := 0; i < pr.m && len(basis) < pr.m; i++ {
+		if f.rowPos[i] < 0 {
+			e.column(pr.n + i) // e_i on an uncovered row: a unit pivot
+			basis = append(basis, pr.n+i)
+		}
+	}
+	for k := range f.colOrder {
+		f.colOrder[k] = k
+	}
+	return f, basis
+}
+
+// sortByNNZ orders items by the nonzero count of their column col(item),
+// keeping the given order among equal counts.
+func sortByNNZ(pr *revProblem, items []int, col func(int) int) {
+	sort.SliceStable(items, func(a, b int) bool {
+		return pr.colNNZ(col(items[a])) < pr.colNNZ(col(items[b]))
+	})
+}
+
+// elim is the working state of one left-looking factorization: the factor
+// built so far and the dense scratch of the column being eliminated.
+type elim struct {
+	pr      *revProblem
+	f       *luFactor
+	work    []float64
+	seen    []bool
+	touched []int
+}
+
+func newElim(pr *revProblem) *elim {
 	m := pr.m
 	f := &luFactor{
 		m:        m,
@@ -76,67 +142,60 @@ func factorize(pr *revProblem, basis []int) (*luFactor, bool) {
 	for i := range f.rowPos {
 		f.rowPos[i] = -1
 	}
-	for k := range f.colOrder {
-		f.colOrder[k] = k
+	return &elim{pr: pr, f: f, work: make([]float64, m), seen: make([]bool, m), touched: make([]int, 0, m)}
+}
+
+func (e *elim) touch(i int) {
+	if !e.seen[i] {
+		e.seen[i] = true
+		e.touched = append(e.touched, i)
 	}
-	sort.SliceStable(f.colOrder, func(a, b int) bool {
-		na, nb := pr.colNNZ(basis[f.colOrder[a]]), pr.colNNZ(basis[f.colOrder[b]])
-		if na != nb {
-			return na < nb
-		}
-		return f.colOrder[a] < f.colOrder[b]
+}
+
+// column eliminates column j as the next step. It reports false, leaving
+// the factor as it was, when no unpivoted row holds a usable pivot.
+func (e *elim) column(j int) bool {
+	f, work := e.f, e.work
+	k := len(f.uColPtr) - 1
+	uMark := len(f.uIdx)
+	e.pr.colEach(j, func(i int, v float64) {
+		e.touch(i)
+		work[i] = v
 	})
-
-	work := make([]float64, m)
-	seen := make([]bool, m)
-	touched := make([]int, 0, m)
-	touch := func(i int) {
-		if !seen[i] {
-			seen[i] = true
-			touched = append(touched, i)
+	// Left-looking elimination: for each earlier pivot in order, the value
+	// sitting in its pivot row is this column's U entry; eliminate it
+	// through that pivot's L column.
+	for s := 0; s < k; s++ {
+		xs := work[f.pivRow[s]]
+		if xs == 0 {
+			continue
+		}
+		f.uIdx = append(f.uIdx, s)
+		f.uVal = append(f.uVal, xs)
+		for q := f.lColPtr[s]; q < f.lColPtr[s+1]; q++ {
+			i := f.lRow[q]
+			e.touch(i)
+			work[i] -= f.lVal[q] * xs
 		}
 	}
 
-	for k := 0; k < m; k++ {
-		pr.colEach(basis[f.colOrder[k]], func(i int, v float64) {
-			touch(i)
-			work[i] = v
-		})
-		// Left-looking elimination: for each earlier pivot in order, the
-		// value sitting in its pivot row is this column's U entry; eliminate
-		// it through that pivot's L column.
-		for j := 0; j < k; j++ {
-			xj := work[f.pivRow[j]]
-			if xj == 0 {
-				continue
-			}
-			f.uIdx = append(f.uIdx, j)
-			f.uVal = append(f.uVal, xj)
-			for e := f.lColPtr[j]; e < f.lColPtr[j+1]; e++ {
-				i := f.lRow[e]
-				touch(i)
-				work[i] -= f.lVal[e] * xj
-			}
+	pivot, best := -1, 0.0
+	for _, i := range e.touched {
+		if f.rowPos[i] >= 0 {
+			continue
 		}
+		if a := math.Abs(work[i]); a > best {
+			best, pivot = a, i
+		}
+	}
+	ok := pivot >= 0 && best >= 1e-10
+	if ok {
 		f.uColPtr = append(f.uColPtr, len(f.uIdx))
-
-		pivot, best := -1, 0.0
-		for _, i := range touched {
-			if f.rowPos[i] >= 0 {
-				continue
-			}
-			if a := math.Abs(work[i]); a > best {
-				best, pivot = a, i
-			}
-		}
-		if pivot < 0 || best < 1e-10 {
-			return nil, false // singular basis
-		}
 		f.pivRow[k] = pivot
 		f.rowPos[pivot] = k
 		f.diag[k] = work[pivot]
 		inv := 1 / work[pivot]
-		for _, i := range touched {
+		for _, i := range e.touched {
 			if f.rowPos[i] >= 0 {
 				continue
 			}
@@ -146,13 +205,15 @@ func factorize(pr *revProblem, basis []int) (*luFactor, bool) {
 			}
 		}
 		f.lColPtr = append(f.lColPtr, len(f.lRow))
-		for _, i := range touched {
-			work[i] = 0
-			seen[i] = false
-		}
-		touched = touched[:0]
+	} else {
+		f.uIdx, f.uVal = f.uIdx[:uMark], f.uVal[:uMark]
 	}
-	return f, true
+	for _, i := range e.touched {
+		work[i] = 0
+		e.seen[i] = false
+	}
+	e.touched = e.touched[:0]
+	return ok
 }
 
 // ftran solves B z = x in place: x arrives as a dense row-space vector and

@@ -783,16 +783,30 @@ func (s *revSolver) cloneForReSolve() *revSolver {
 // Unbounded, IterLimit) reports ok == true.
 func (p *Problem) solveRevised(opt Options) (Solution, *revSolver, bool) {
 	pr := newRevProblem(p)
-	if len(opt.CrashBasis) > 0 {
-		if sol, s, ok := p.crashRevised(pr, opt); ok {
+	var spent *revSolver // a crash that fell back: its work counts too
+	if len(opt.CrashBasis.keys) > 0 {
+		s, ok := p.crashRevised(pr, opt)
+		if ok {
+			sol := s.extract(p, Optimal)
+			sol.Warm = true
 			return sol, s, true
 		}
-		// The supplied basis did not fit or could not be repaired; go cold.
+		spent = s
+		if opt.MaxPivots > 0 {
+			if opt.MaxPivots -= s.pivots; opt.MaxPivots <= 0 {
+				return Solution{Status: IterLimit, Pivots: s.pivots, Refactorizations: s.refactors, BasisUpdates: s.updates}, nil, true
+			}
+		}
 	}
 	s := newRevSolver(pr, opt)
 	st := s.coldSolve()
 	if s.failed {
 		return Solution{}, nil, false
+	}
+	if spent != nil {
+		s.pivots += spent.pivots
+		s.refactors += spent.refactors
+		s.updates += spent.updates
 	}
 	sol := s.extract(p, st)
 	if st != Optimal {
@@ -801,72 +815,107 @@ func (p *Problem) solveRevised(opt Options) (Solution, *revSolver, bool) {
 	return sol, s, true
 }
 
-// crashRevised starts from a caller-supplied basis (WarmStart.Basis of a
-// structurally identical problem): factor it, then repair to optimality with
-// the primal simplex (already feasible) or dual simplex plus primal polish
-// (only dual-feasible). Any screen failure reports ok == false and the
-// caller solves cold; correctness never depends on the supplied basis.
-func (p *Problem) crashRevised(pr *revProblem, opt Options) (Solution, *revSolver, bool) {
-	m, n := pr.m, pr.n
-	cb := opt.CrashBasis
-	if len(cb) != m {
-		return Solution{}, nil, false
-	}
-	seen := make([]bool, n+m)
-	for _, b := range cb {
-		if b < 0 || b >= n+m || seen[b] {
-			return Solution{}, nil, false
-		}
-		seen[b] = true
-	}
-	s := newRevSolver(pr, opt)
-	copy(s.basis, cb)
-	for i, b := range cb {
-		s.inBase[b] = i
-		s.status[b] = isBasic
-	}
-	for j := 0; j < n+m; j++ {
-		if s.status[j] == isBasic {
-			continue
-		}
-		if math.IsInf(pr.lo[j], -1) {
-			s.status[j] = atUpper // GE slacks: the only unbounded-below columns
-		} else {
-			s.status[j] = atLower
-		}
-	}
-	f, ok := factorize(pr, s.basis)
-	if !ok {
-		return Solution{}, nil, false
-	}
-	s.f = f
-	s.computeXB()
-	s.computeDuals()
+// crashPivots is the pivot cap of a crash: a repair that needs more pivots
+// than this is not worth finishing, and the solve goes cold. Without a cap,
+// a dual repair on a cost-shifted, dual-degenerate basis can run to the
+// default limit of 200·(m+n)+5000 pivots. A variable, so a test can force
+// the fallback.
+var crashPivots = func(m, n int) int { return 2*(m+n) + 50 }
 
-	feasible := true
-	for i := 0; i < m; i++ {
-		bc := s.basis[i]
-		if s.xB[i] < pr.lo[bc]-1e-7 || s.xB[i] > pr.hi[bc]+1e-7 {
-			feasible = false
-			break
-		}
-	}
-	if !feasible {
-		for j := 0; j < n+m; j++ {
-			if s.status[j] == isBasic || pr.lo[j] == pr.hi[j] {
-				continue
+// crashRevised starts from a caller-supplied portable basis, usually the
+// root basis of the previous hour's model, which may differ from this one
+// in shape. The columns the basis names are factored with rank repair: a
+// missing or dependent column gives way to the slack of a row the others
+// leave uncovered. Each boxed nonbasic column then sits at the bound its
+// reduced cost favours. A primal-feasible start goes straight to the primal
+// simplex. Otherwise every remaining dual-infeasible column has its cost
+// shifted until its reduced cost is zero, the dual simplex restores primal
+// feasibility, the costs come back, and the primal simplex finishes. All of
+// it runs under the crashPivots cap. ok == false (cap, numerical trouble,
+// an infeasible or unbounded verdict) sends the caller to the cold solve,
+// so correctness never depends on the supplied basis; the returned solver
+// then only carries the work spent.
+func (p *Problem) crashRevised(pr *revProblem, opt Options) (*revSolver, bool) {
+	s := p.crashStart(pr, opt)
+	if !s.primalFeasible() {
+		// Shift the cost of each remaining dual-infeasible column (unbounded
+		// on the side its reduced cost favours) so that the dual simplex
+		// starts dual feasible.
+		var costs []float64
+		for j := 0; j < pr.n+pr.m; j++ {
+			if s.dualInfeasible(j) {
+				if costs == nil {
+					costs = append([]float64(nil), pr.costs...)
+				}
+				pr.costs[j] -= s.d[j]
+				s.d[j] = 0
 			}
-			if (s.status[j] == atLower && s.d[j] < -1e-7) ||
-				(s.status[j] == atUpper && s.d[j] > 1e-7) {
-				return Solution{}, nil, false // neither feasible: phase 1 it is
+		}
+		st := s.dual()
+		if costs != nil {
+			copy(pr.costs, costs)
+			if st == Optimal && !s.failed {
+				s.computeDuals()
 			}
 		}
-		if st := s.dual(); st != Optimal || s.failed {
-			return Solution{}, nil, false
+		if st != Optimal || s.failed {
+			return s, false
 		}
 	}
 	if st := s.primal(); st != Optimal || s.failed {
-		return Solution{}, nil, false
+		return s, false
 	}
-	return s.extract(p, Optimal), s, true
+	return s, true
+}
+
+// crashStart sets up a crash: the columns opt.CrashBasis names, factored
+// with rank repair, every GE slack at its upper bound, every other boxed
+// nonbasic column at its dual-feasible bound, and the basic values solved.
+func (p *Problem) crashStart(pr *revProblem, opt Options) *revSolver {
+	s := newRevSolver(pr, opt)
+	s.maxPivots = crashPivots(pr.m, pr.n)
+	if opt.MaxPivots > 0 && opt.MaxPivots < s.maxPivots {
+		s.maxPivots = opt.MaxPivots
+	}
+	var basis []int
+	s.f, basis = factorizeRepair(pr, p.crashColumns(opt.CrashBasis))
+	copy(s.basis, basis)
+	for i, b := range s.basis {
+		s.inBase[b] = i
+		s.status[b] = isBasic
+	}
+	s.computeDuals()
+	for j := 0; j < pr.n+pr.m; j++ {
+		if s.status[j] == isBasic {
+			continue
+		}
+		switch {
+		case math.IsInf(pr.lo[j], -1):
+			s.status[j] = atUpper // GE slacks: the only unbounded-below columns
+		case !math.IsInf(pr.hi[j], 1) && s.d[j] < -zeroTol:
+			s.status[j] = atUpper
+		}
+	}
+	s.computeXB()
+	return s
+}
+
+// primalFeasible reports whether every basic value is within its bounds
+// (to the crash screen's 1e-7).
+func (s *revSolver) primalFeasible() bool {
+	for i, bc := range s.basis {
+		if s.xB[i] < s.pr.lo[bc]-1e-7 || s.xB[i] > s.pr.hi[bc]+1e-7 {
+			return false
+		}
+	}
+	return true
+}
+
+// dualInfeasible reports whether nonbasic column j's reduced cost favours
+// moving it off its bound.
+func (s *revSolver) dualInfeasible(j int) bool {
+	if s.status[j] == isBasic || s.pr.lo[j] == s.pr.hi[j] {
+		return false
+	}
+	return (s.status[j] == atLower && s.d[j] < -zeroTol) || (s.status[j] == atUpper && s.d[j] > zeroTol)
 }

@@ -21,13 +21,15 @@ type Options struct {
 	// phases. 0 means 200·(rows+columns)+5000, far above what these problems
 	// need.
 	MaxPivots int
-	// CrashBasis, when non-empty, is a basis (basis column per row, as
-	// returned by WarmStart.Basis from a structurally identical problem) to
-	// crash into the fresh solve, skipping phase 1. A basis that does not fit
-	// this problem's shape, violates its constraints, or cannot be repaired
-	// cheaply is discarded and the solve proceeds cold, so the answer is
-	// always as reliable as a cold Solve.
-	CrashBasis []int
+	// CrashBasis, when non-empty, is a basis (as returned by WarmStart.Basis
+	// from a problem of the same family, of any shape) to crash into the
+	// fresh solve, skipping phase 1. Columns it names that this problem
+	// lacks or that are dependent give way to slacks; a start that is
+	// neither primal nor dual feasible is repaired by the dual simplex on
+	// shifted costs. A repair that runs past its pivot cap or ends in
+	// anything but an optimum is discarded and the solve proceeds cold, so
+	// the answer is always as reliable as a cold Solve.
+	CrashBasis Basis
 }
 
 // SolveWithOptions is Solve with explicit options.
@@ -126,14 +128,10 @@ func (p *Problem) denseRows() []Constraint {
 	for v := 0; v < n && v < len(p.lower); v++ {
 		lo, hi := p.lower[v], p.upper[v]
 		if !math.IsInf(hi, 1) {
-			row := make([]float64, n)
-			row[v] = 1
-			extra = append(extra, Constraint{Coeffs: row, Rel: LE, RHS: hi})
+			extra = append(extra, Constraint{Terms: []Term{{Var: v, Coef: 1}}, Rel: LE, RHS: hi})
 		}
 		if lo > 0 {
-			row := make([]float64, n)
-			row[v] = 1
-			extra = append(extra, Constraint{Coeffs: row, Rel: GE, RHS: lo})
+			extra = append(extra, Constraint{Terms: []Term{{Var: v, Coef: 1}}, Rel: GE, RHS: lo})
 		}
 	}
 	if extra == nil {
@@ -204,8 +202,8 @@ func (p *Problem) buildTableau() tabBuild {
 		if kinds[k].neg {
 			sign = -1
 		}
-		for j := 0; j < n; j++ {
-			row[j] = sign * c.Coeffs[j]
+		for _, t := range c.Terms {
+			row[t.Var] = sign * t.Coef
 		}
 		row[total] = sign * c.RHS
 		switch kinds[k].rel {

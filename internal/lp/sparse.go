@@ -48,8 +48,8 @@ func newRevProblem(p *Problem) *revProblem {
 
 	nnz := 0
 	for _, c := range p.constraints {
-		for _, v := range c.Coeffs {
-			if v != 0 {
+		for _, t := range c.Terms {
+			if t.Coef != 0 {
 				nnz++
 			}
 		}
@@ -61,11 +61,11 @@ func newRevProblem(p *Problem) *revProblem {
 	pr.b = make([]float64, m)
 	for k, c := range p.constraints {
 		pr.b[k] = c.RHS
-		for j, v := range c.Coeffs {
-			if v != 0 {
-				pr.colIdx = append(pr.colIdx, j)
-				pr.rowVal = append(pr.rowVal, v)
-				colCount[j+1]++
+		for _, t := range c.Terms {
+			if t.Coef != 0 {
+				pr.colIdx = append(pr.colIdx, t.Var)
+				pr.rowVal = append(pr.rowVal, t.Coef)
+				colCount[t.Var+1]++
 			}
 		}
 		pr.rowPtr[k+1] = len(pr.colIdx)

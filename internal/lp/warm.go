@@ -48,27 +48,26 @@ func (p *Problem) SolveForWarmStart(opt Options) (*WarmStart, Solution) {
 // Root returns the base problem's optimal solution.
 func (w *WarmStart) Root() Solution { return w.root }
 
-// Basis returns a copy of the optimal basis of the base problem: one basis
-// column index per row. The layout (structural variables 0..n-1, then the
-// slack of row i at n+i) depends only on the problem's shape, so the basis
-// can seed Options.CrashBasis on a later problem with the same structure —
-// the cross-problem analogue of ReSolve's same-problem warm start. It is nil
-// when the dense tableau answered the base problem.
-func (w *WarmStart) Basis() []int {
+// Basis returns the optimal basis of the base problem as a portable Basis
+// (see Basis), to seed Options.CrashBasis on a later problem of the same
+// family, whatever its shape: the cross-problem analogue of ReSolve's
+// same-problem warm start. It is empty when the dense tableau answered the
+// base problem.
+func (w *WarmStart) Basis() Basis {
 	if w.rev == nil {
-		return nil
+		return Basis{}
 	}
 	pr := w.rev.pr
-	out := make([]int, pr.m)
+	cols := make([]int, pr.m)
 	for i, b := range w.rev.basis {
 		if b >= pr.n+pr.m {
 			// A redundant row kept its phase-1 artificial basic at zero;
 			// the row's slack is an equivalent crash column.
 			b = pr.n + pr.artRow[b-pr.n-pr.m]
 		}
-		out[i] = b
+		cols[i] = b
 	}
-	return out
+	return w.problem.basisOf(cols)
 }
 
 // ReSolve solves the base problem plus the extra rows. Single-variable rows —

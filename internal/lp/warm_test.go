@@ -136,7 +136,7 @@ func randomBoundRows(r *rand.Rand, p *Problem, x []float64) ([]ExtraRow, *Proble
 // TestFallbackWarmStartReSolvesCold covers the WarmStart SolveForWarmStart
 // records when the sparse core goes numerically singular and the dense
 // tableau answers the base problem instead. It freezes no solver state, so
-// Basis must be nil and every ReSolve must be exactly a cold solve of the
+// Basis must be empty and every ReSolve must be exactly a cold solve of the
 // problem plus the rows.
 func TestFallbackWarmStartReSolvesCold(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -147,7 +147,7 @@ func TestFallbackWarmStartReSolvesCold(t *testing.T) {
 			return true
 		}
 		w := &WarmStart{problem: p, root: root}
-		if b := w.Basis(); b != nil {
+		if b := w.Basis(); len(b.keys) != 0 {
 			t.Logf("seed %d: fallback warm start reports basis %v", seed, b)
 			return false
 		}

@@ -45,9 +45,9 @@ func Write(w io.Writer, p *milp.Problem) error {
 	for k := 0; k < p.NumConstraints(); k++ {
 		c := p.Constraint(k)
 		var row []string
-		for v, coef := range c.Coeffs {
-			if coef != 0 {
-				row = append(row, term(coef, names[v], len(row) == 0))
+		for _, t := range c.Terms {
+			if t.Coef != 0 {
+				row = append(row, term(t.Coef, names[t.Var], len(row) == 0))
 			}
 		}
 		if len(row) == 0 {

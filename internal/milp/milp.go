@@ -113,12 +113,15 @@ type Solution struct {
 	Incumbents         int           // times the incumbent improved during the search
 	Elapsed            time.Duration // wall time of the solve
 	Gap                float64       // |bound − incumbent| remaining at stop (0 when Optimal)
-	// RootBasis is the optimal simplex basis of the base LP relaxation (nil
-	// when the root did not solve to optimality). Feeding it back as
-	// Options.StartBasis on a structurally identical problem — the next hour
-	// of a diurnal sequence — lets the LP crash straight to a near-optimal
-	// basis instead of running phase 1.
-	RootBasis []int
+	// RootBasis is the optimal simplex basis of the base LP relaxation
+	// (empty when the root did not solve to optimality). Feeding it back as
+	// Options.StartBasis on a problem of the same family — the next hour of
+	// a diurnal sequence, whatever segments came into or went out of reach —
+	// lets the LP crash straight to a near-optimal basis instead of running
+	// phase 1.
+	RootBasis lp.Basis
+	// RootWarm reports that the root LP finished from Options.StartBasis.
+	RootWarm bool
 }
 
 // Search tolerances.
@@ -152,10 +155,11 @@ type Options struct {
 	// LP solver's default. A root that exhausts the cap stops the search with
 	// Status Limit, no incumbent and Gap +Inf.
 	MaxLPPivots int
-	// StartBasis, when non-nil, is forwarded to the root LP solve as
+	// StartBasis, when non-empty, is forwarded to the root LP solve as
 	// lp.Options.CrashBasis — usually Solution.RootBasis of the previous
-	// hour's solve. An unusable basis falls back to the cold two-phase solve.
-	StartBasis []int
+	// hour's solve. A basis the crash cannot repair within its pivot cap
+	// falls back to the cold two-phase solve.
+	StartBasis lp.Basis
 }
 
 // withDefaults fills the zero-value knobs.
@@ -278,6 +282,7 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 	}
 	sol := p.search(opt, start, warm, root, eff)
 	sol.RootBasis = warm.Basis()
+	sol.RootWarm = root.Warm
 	return sol
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"billcap/internal/budget"
@@ -345,6 +346,54 @@ func TestCrashPoints(t *testing.T) {
 				t.Errorf("crash %s: restored %s\nuncrashed restores %s", step, got, want)
 			}
 		})
+	}
+}
+
+// TestOpenRemovesSnapshotTemps: a snapshot write stopped after its temp
+// file's fsync and before the rename leaves the temp file behind. Open must
+// delete it, and the restore must not change: the stopped snapshot was
+// never visible, and the log still covers its hours.
+func TestOpenRemovesSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	j.record(30)
+	j.s.crashAt = func(step string) error {
+		if step == "synced" {
+			return errCrash
+		}
+		return nil
+	}
+	if err := j.s.WriteSnapshot(j.checkpoint()); !errors.Is(err, errCrash) {
+		t.Fatalf("snapshot write returned %v, want the injected crash", err)
+	}
+	if err := j.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	temps := func() []string {
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, de := range des {
+			if strings.Contains(de.Name(), ".tmp-") {
+				out = append(out, de.Name())
+			}
+		}
+		return out
+	}
+	if len(temps()) != 1 {
+		t.Fatalf("the stopped write left temp files %v, want one", temps())
+	}
+	want := marshal(t, j.checkpoint())
+	for i := 0; i < 2; i++ {
+		cp, _ := reopen(t, dir)
+		if got := marshal(t, cp); !bytes.Equal(got, want) {
+			t.Fatalf("reopen %d restored %s, want %s", i+1, got, want)
+		}
+		if left := temps(); len(left) != 0 {
+			t.Fatalf("reopen %d left temp files %v", i+1, left)
+		}
 	}
 }
 

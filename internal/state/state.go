@@ -163,6 +163,9 @@ func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, info, fmt.Errorf("state: %w", err)
 	}
+	if err := removeSnapshotTemps(dir); err != nil {
+		return nil, nil, info, err
+	}
 
 	cp, fallbacks := loadSnapshot(dir)
 	info.SnapshotFallbacks = fallbacks
@@ -374,6 +377,24 @@ func segments(dir string) ([]segment, error) {
 	}
 	sort.Slice(segs, func(a, b int) bool { return segs[a].n < segs[b].n })
 	return segs, nil
+}
+
+// removeSnapshotTemps deletes the temp files of snapshot writes that a
+// crash stopped before their rename. No restore reads them and no later
+// write reuses their names, so without this they would stay forever.
+func removeSnapshotTemps(dir string) error {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("state: %w", err)
+	}
+	for _, de := range des {
+		if n := de.Name(); strings.HasPrefix(n, snapPrefix) && strings.Contains(n, snapSuffix+".tmp-") {
+			if err := os.Remove(filepath.Join(dir, n)); err != nil {
+				return fmt.Errorf("state: removing an unfinished snapshot: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // snapshotNames lists snapshot files sorted oldest-first (the zero-padded
