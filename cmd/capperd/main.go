@@ -83,8 +83,6 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout for in-flight requests")
 	deadline := flag.Duration("decide-deadline", 5*time.Second,
 		"per-decision solver deadline; an expiring solve answers with its best incumbent (0 = unbounded)")
-	solverCache := flag.Bool("solver-cache", false,
-		"carry each solve kind's root LP basis to the next hour's solve (hours with tariff extras stay cold)")
 	decompose := flag.Bool("decompose", false,
 		"fleet-scale solving: route hour decisions through Lagrangian dual decomposition when the fleet exceeds -decompose-threshold sites")
 	decomposeThreshold := flag.Int("decompose-threshold", 0,
@@ -113,7 +111,6 @@ func main() {
 	}
 	srv, err := api.New(dcs, pols, core.Options{
 		SolveDeadline: *deadline,
-		SolverCache:   *solverCache,
 
 		Decompose:          *decompose,
 		DecomposeThreshold: *decomposeThreshold,

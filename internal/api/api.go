@@ -68,7 +68,7 @@ type Server struct {
 	// route is the lock-free request data plane: every decision installs an
 	// immutable routing snapshot that /v1/route and /v1/route/batch serve
 	// without locks or solving (see route.go). Its drift re-solves run on a
-	// System and ladder of their own.
+	// ladder of their own.
 	route *RoutePlane
 	// pos, when non-nil (see EnableTariff), bills beyond plain energy
 	// charges: the demand-charge peak ledger and per-site batteries.
@@ -106,14 +106,10 @@ func New(dcs []*dcmodel.Site, policies []pricing.Policy, opts core.Options) (*Se
 		names[i] = dc.Name
 	}
 	// A drift re-solve finishes whenever its solve does, outside the hour
-	// lock, so it must not touch what /v1/decide plans from: the solve cache
-	// and the ladder that is journaled. Only the route table is shared.
-	driftSys, err := core.NewSystem(dcs, policies, opts)
-	if err != nil {
-		return nil, err
-	}
-	driftSys.SetMetrics(sys.Metrics())
-	s.route, err = newRoutePlane(core.NewResilient(driftSys, core.ResilientOptions{}), reg, names, defaultDriftRatio)
+	// lock, so it must not touch what /v1/decide plans from: the ladder that
+	// is journaled and the root bases it carries. It runs on a ladder of its
+	// own over the shared System; only the route table is shared.
+	s.route, err = newRoutePlane(core.NewResilient(sys, core.ResilientOptions{}), reg, names, defaultDriftRatio)
 	if err != nil {
 		return nil, err
 	}

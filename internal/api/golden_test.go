@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"hash"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -155,26 +157,39 @@ func TestDaemonGolden(t *testing.T) {
 	if err := s.CloseState(); err != nil {
 		t.Fatal(err)
 	}
-	var entries [][]byte
+	entries, segs, newest := digestStateDir(t, digest, dir)
+
+	t.Logf("steps %v, newest checkpoint %s, %d WAL entries in %d segments", steps, newest, entries, segs)
+	if got := digest.Sum64(); got != want {
+		t.Errorf("daemon digest %#x, want %#x", got, want)
+	}
+}
+
+// digestStateDir feeds digest what a closed state directory holds: the
+// entries of every WAL segment in order and then the newest checkpoint's
+// file name and payload, each re-marshaled with its solver wall time
+// zeroed. It returns the entry and segment counts and the newest name.
+func digestStateDir(t *testing.T, digest hash.Hash64, dir string) (entries, segments int, newest string) {
+	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(segs)
 	for _, seg := range segs {
-		entries = append(entries, sealedLines(t, seg)...)
-	}
-	for _, line := range entries {
-		var e state.Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatal(err)
+		for _, line := range sealedLines(t, seg) {
+			var e state.Entry
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatal(err)
+			}
+			zeroWallTime(e.Resilient)
+			body, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest.Write(body)
+			entries++
 		}
-		zeroWallTime(e.Resilient)
-		body, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		digest.Write(body)
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -190,7 +205,7 @@ func TestDaemonGolden(t *testing.T) {
 	if len(snaps) == 0 {
 		t.Fatal("no checkpoint after 72 hours")
 	}
-	newest := snaps[len(snaps)-1]
+	newest = snaps[len(snaps)-1]
 	digest.Write([]byte(newest))
 	var cp state.Checkpoint
 	if err := json.Unmarshal(sealedLines(t, filepath.Join(dir, newest))[0], &cp); err != nil {
@@ -202,9 +217,91 @@ func TestDaemonGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest.Write(body)
+	return entries, len(segs), newest
+}
 
-	t.Logf("steps %v, newest checkpoint %s, %d WAL entries in %d segments", steps, newest, len(entries), len(segs))
+// TestPlainDaemonGolden pins a plain server's hours bit for bit: 72 seeded
+// resilient hours on 13 synthetic sites, with no tariff position but a
+// state directory, some hours capped and one with a site down. The digest
+// covers every answer without its solverWallMS and what the directory holds
+// after CloseState (see digestStateDir). The ladder carries each solve
+// kind's root basis from hour to hour, so the answers' pivot and warm-start
+// counts are pinned too. It was recorded when the carried bases lived in a
+// solve cache inside the System, switched on by an option, before the
+// ladder carried them itself.
+func TestPlainDaemonGolden(t *testing.T) {
+	const want = uint64(0x4d07d3731c1ff6c7)
+	const n = 13
+	dir := t.TempDir()
+	s, err := New(dcmodel.SyntheticSites(n), pricing.Synthetic(n), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.EnableState(dir); err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			s.CloseState()
+		}
+	}()
+	h := s.Handler()
+
+	digest := fnv.New64a()
+	rng := rand.New(rand.NewSource(25))
+	steps := map[string]int{}
+	var solver core.SolverStats
+	for hour := 0; hour < 72; hour++ {
+		diurnal := 0.6 + 0.4*math.Sin(2*math.Pi*float64(hour%24)/24)
+		total := 1.4e12 * n / 3 * diurnal * (0.9 + 0.2*rng.Float64())
+		req := DecideRequest{
+			TotalLambda:   total,
+			PremiumLambda: total * (0.3 + 0.2*rng.Float64()),
+			DemandMW:      make([]float64, n),
+			Hour:          hour,
+			Resilient:     true,
+		}
+		for i := range req.DemandMW {
+			req.DemandMW[i] = []float64{150, 160, 140}[i%3] + 7*float64(i/3) + 60*rng.Float64()
+		}
+		if hour%3 == 1 {
+			b := 300 + 3000*rng.Float64()
+			req.BudgetUSD = &b
+		}
+		if hour == 40 {
+			req.Down = make([]bool, n)
+			req.Down[5] = true
+		}
+		var answer map[string]any
+		if err := json.Unmarshal(serveBytes(t, h, http.MethodPost, "/v1/decide", req), &answer); err != nil {
+			t.Fatal(err)
+		}
+		if answer["degraded"] != nil {
+			t.Fatalf("hour %d degraded to %v", hour, answer["degraded"])
+		}
+		steps[answer["step"].(string)]++
+		solver.Accumulate(s.Resilient().Snapshot().LastGood.Solver)
+		delete(answer, "solverWallMS")
+		body, err := json.Marshal(answer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest.Write(body)
+	}
+
+	closed = true
+	if err := s.CloseState(); err != nil {
+		t.Fatal(err)
+	}
+	entries, segs, newest := digestStateDir(t, digest, dir)
+
+	t.Logf("steps %v, newest checkpoint %s, %d WAL entries in %d segments, %d of %d roots warm",
+		steps, newest, entries, segs, solver.WarmStarts, solver.Solves)
+	if solver.WarmStarts*10 < solver.Solves*9 {
+		t.Errorf("%d of %d root LPs finished from a carried basis, want at least 90%%", solver.WarmStarts, solver.Solves)
+	}
 	if got := digest.Sum64(); got != want {
-		t.Errorf("daemon digest %#x, want %#x", got, want)
+		t.Errorf("plain daemon digest %#x, want %#x", got, want)
 	}
 }

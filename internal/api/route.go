@@ -41,7 +41,8 @@ const flushRingSize = 8
 // installed decision was solved for, the plane re-solves asynchronously
 // through its own resilient ladder (scaled to the observed rate) and swaps
 // in the result — the request path never blocks on the solver. The ladder
-// and its System belong to the plane alone, so a re-solve moves no solver or
+// belongs to the plane alone (its System, shared with the server, holds no
+// decision state), so a re-solve moves neither the root bases nor the
 // ladder state that /v1/decide reads.
 type RoutePlane struct {
 	snap     atomic.Pointer[dispatch.Snapshot]

@@ -325,19 +325,23 @@ func TestRouteDriftSupersededKeepsNewerHour(t *testing.T) {
 	}
 }
 
-// TestDriftResolveMovesNoSolveCache: drift re-solves must not change what
-// /v1/decide answers. On a server with the solve cache, 48 hours decided
-// with a drift re-solve after every 4th must answer byte for byte (solver
-// wall time aside) what the same 48 hours answer without them. When drift
-// re-solves shared the server's System, each one left its root bases in the
-// cache and the next hour crashed from them.
-func TestDriftResolveMovesNoSolveCache(t *testing.T) {
+// TestDriftResolveMovesNoRootBases: drift re-solves must not change what
+// /v1/decide answers. The route plane's ladder shares the server's System,
+// and 48 hours decided with a drift re-solve after every 4th must answer
+// byte for byte (solver wall time aside) what the same 48 hours answer
+// without them. When the root bases lived in a cache inside the System,
+// each re-solve left its bases there and the next hour crashed from them;
+// now each ladder carries its own.
+func TestDriftResolveMovesNoRootBases(t *testing.T) {
 	answers := func(drift bool) [][]byte {
-		s, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{SolverCache: true})
+		s, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		h, plane := s.Handler(), s.RoutePlane()
+		if plane.resilient.System() != s.sys {
+			t.Fatal("the route plane's ladder runs on a System of its own")
+		}
 		rng := rand.New(rand.NewSource(20))
 		var out [][]byte
 		for hour := 1; hour <= 48; hour++ {

@@ -187,3 +187,41 @@ func TestEnableTariffValidates(t *testing.T) {
 		t.Error("efficiency 1.5 accepted")
 	}
 }
+
+// TestEnableTariffRejectsUndecidableBatteries: a battery spec the hour's
+// validation rejects must not configure the position. EnableTariff used to
+// accept a NaN efficiency (capperd -battery 40:15:NaN among others), after
+// which every /v1/decide, resilient or not, answered 400 "battery
+// efficiency NaN at site 0": the daemon stayed up but could never decide.
+// Each spec here fails EnableTariff and the hour's validation alike: both
+// keep one rule (core.BatterySpec.Validate).
+func TestEnableTariffRejectsUndecidableBatteries(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(*core.BatterySpec){
+		"NaN efficiency":   func(b *core.BatterySpec) { b.Efficiency = nan },
+		"NaN capacity":     func(b *core.BatterySpec) { b.CapacityMWh = nan },
+		"+Inf capacity":    func(b *core.BatterySpec) { b.CapacityMWh = inf },
+		"NaN charge rate":  func(b *core.BatterySpec) { b.MaxChargeMW = nan },
+		"+Inf rates":       func(b *core.BatterySpec) { b.MaxChargeMW, b.MaxDischargeMW = inf, inf },
+		"NaN charge":       func(b *core.BatterySpec) { b.SoCMWh = nan },
+		"charge over full": func(b *core.BatterySpec) { b.SoCMWh = 41 },
+		"negative value":   func(b *core.BatterySpec) { b.ValueUSDPerMWh = -1 },
+		"+Inf value":       func(b *core.BatterySpec) { b.ValueUSDPerMWh = inf },
+	} {
+		specs := tariffSpecs(3)
+		mutate(&specs[0])
+		s, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.EnableTariff(0, specs); err == nil {
+			t.Errorf("%s: EnableTariff accepted %+v", name, specs[0])
+		}
+		if err := s.sys.ValidateInput(core.HourInput{
+			TotalLambda: 1e12, PremiumLambda: 5e11, DemandMW: []float64{170, 190, 150},
+			BudgetUSD: inf, Batteries: specs,
+		}); err == nil {
+			t.Errorf("%s: the hour's validation accepted %+v", name, specs[0])
+		}
+	}
+}

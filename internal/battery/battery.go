@@ -34,14 +34,15 @@ type Battery struct {
 	soc float64 // state of charge, MWh
 }
 
-// New validates and returns an empty battery.
+// New validates and returns an empty battery: capacity and rates must be
+// finite and nonnegative, efficiency in (0, 1].
 func New(capacityMWh, maxChargeMW, maxDischargeMW, efficiency float64) (*Battery, error) {
 	switch {
-	case capacityMWh < 0 || math.IsNaN(capacityMWh):
+	case !isFinite(capacityMWh) || capacityMWh < 0:
 		return nil, fmt.Errorf("battery: capacity %v", capacityMWh)
-	case maxChargeMW < 0 || maxDischargeMW < 0:
+	case !isFinite(maxChargeMW) || maxChargeMW < 0 || !isFinite(maxDischargeMW) || maxDischargeMW < 0:
 		return nil, fmt.Errorf("battery: rates %v/%v", maxChargeMW, maxDischargeMW)
-	case efficiency <= 0 || efficiency > 1:
+	case math.IsNaN(efficiency) || efficiency <= 0 || efficiency > 1:
 		return nil, fmt.Errorf("battery: efficiency %v", efficiency)
 	}
 	return &Battery{

@@ -25,6 +25,28 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFinite: a NaN or infinite capacity, rate or efficiency
+// is no battery. New(40, NaN, NaN, NaN) and New(+Inf, +Inf, +Inf, 0.9)
+// used to succeed.
+func TestNewRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][4]float64{
+		{40, nan, nan, nan},
+		{inf, inf, inf, 0.9},
+		{nan, 15, 15, 0.9},
+		{inf, 15, 15, 0.9},
+		{40, nan, 15, 0.9},
+		{40, 15, inf, 0.9},
+		{40, -inf, 15, 0.9},
+		{40, 15, 15, nan},
+		{40, 15, 15, inf},
+	} {
+		if _, err := New(c[0], c[1], c[2], c[3]); err == nil {
+			t.Errorf("New(%v, %v, %v, %v) accepted", c[0], c[1], c[2], c[3])
+		}
+	}
+}
+
 func TestChargeDischargeCycle(t *testing.T) {
 	b, err := New(10, 5, 4, 0.8)
 	if err != nil {

@@ -31,15 +31,15 @@ type Budgeter struct {
 // hourly workload of the month. Hourly shares are proportional to the
 // prediction; an all-zero prediction falls back to uniform shares.
 func New(monthlyUSD float64, predicted timeseries.Series) (*Budgeter, error) {
-	if monthlyUSD < 0 {
-		return nil, fmt.Errorf("budget: negative monthly budget %v", monthlyUSD)
+	if math.IsNaN(monthlyUSD) || math.IsInf(monthlyUSD, 0) || monthlyUSD < 0 {
+		return nil, fmt.Errorf("budget: bad monthly budget %v", monthlyUSD)
 	}
 	if len(predicted) == 0 {
 		return nil, fmt.Errorf("budget: empty prediction")
 	}
 	for h, v := range predicted {
-		if v < 0 {
-			return nil, fmt.Errorf("budget: negative prediction %v at hour %d", v, h)
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, fmt.Errorf("budget: bad prediction %v at hour %d", v, h)
 		}
 	}
 	total := predicted.Sum()

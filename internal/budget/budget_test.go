@@ -34,6 +34,30 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFinite: New refuses what Restore refuses. A NaN or
+// infinite monthly budget or prediction used to build a budgeter whose
+// snapshot no Restore accepts (and JSON cannot even encode NaN), so a run
+// with a state directory wrote checkpoints it could never restore.
+func TestNewRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name    string
+		monthly float64
+		pred    timeseries.Series
+	}{
+		{"NaN budget", nan, uniformPred(10)},
+		{"+Inf budget", inf, uniformPred(10)},
+		{"-Inf budget", -inf, uniformPred(10)},
+		{"NaN prediction", 100, timeseries.Series{1, nan, 1}},
+		{"+Inf prediction", 100, timeseries.Series{1, inf, 1}},
+		{"-Inf prediction", 100, timeseries.Series{1, -inf, 1}},
+	} {
+		if _, err := New(c.monthly, c.pred); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+}
+
 func TestSharesSumToMonthly(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -45,6 +45,47 @@ func TestJournalHourRestartKeepsNewestRecords(t *testing.T) {
 	}
 }
 
+// TestJournalCompactsAcrossRestarts: a process killed more often than
+// every two checkpoints still compacts its log. Six runs each open the
+// journal, record 30 hours (one checkpoint) and stop as a kill after that
+// checkpoint would. When a snapshot's cut lived only in the memory of the
+// process that wrote it, every restart kept one more segment (1, 2, …, 6);
+// now each restart finds the cuts in the kept snapshots, and the log stays
+// at most three segments long while the restore keeps every record.
+func TestJournalCompactsAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	hour := 0
+	for run := 1; run <= 6; run++ {
+		p := position(t, 1000, nil)
+		j, _, _, err := OpenJournal(dir, nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hour > 0 {
+			if peaks, _ := p.Snapshot(); peaks.PeaksMW[0] != float64(hour) {
+				t.Fatalf("run %d restored peak %v MW, want the last record's %d MW", run, peaks.PeaksMW[0], hour)
+			}
+		}
+		for k := 0; k < 30; k++ {
+			hour++
+			p.Commit(plan([3]float64{}, [3]float64{}), core.HourInput{}, []float64{float64(hour), 1, 1})
+			if err := j.Record(hour-1, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Release(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) > 3 {
+			t.Errorf("after run %d: %d WAL segments, want at most 3", run, len(segs))
+		}
+	}
+}
+
 // TestJournalCheckpointSharesNoMemory: the checkpoint a record hands the
 // writer is captured before Record returns. The ladder's last-good plan
 // shares its class loads with whoever restored it, and scribbling over

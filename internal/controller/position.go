@@ -49,6 +49,11 @@ func NewPosition(demandChargeUSDPerMWMonth float64, policies []pricing.Policy, b
 		p.specs = make([]core.BatterySpec, n)
 	}
 	for i, spec := range batteries {
+		// The spec must pass the hour's own validation, or every hour
+		// attached to this position would be rejected.
+		if err := spec.Validate(); err != nil {
+			return nil, fmt.Errorf("controller: site %d: %w", i, err)
+		}
 		if spec.CapacityMWh == 0 {
 			continue
 		}

@@ -9,21 +9,16 @@ import (
 // DecideBatch solves many independent hours concurrently — the bulk path for
 // re-optimizing a horizon (day-ahead sweeps, what-if studies) without
 // serializing the hours. Up to GOMAXPROCS hours run at once, each solved on
-// its goroutine by DecideHourCtx. Solves are deterministic, so without the
-// solve cache decs[i] is exactly what a serial DecideHourCtx(ctx, ins[i])
-// returns, effort counters included.
+// its goroutine by DecideHourCtx. Solves are deterministic and each hour
+// starts from the bases its own input carries, so decs[i] is exactly what a
+// serial DecideHourCtx(ctx, ins[i]) returns, effort counters included.
 //
 // Results are index-aligned with ins: decs[i] answers ins[i], errs[i] is its
 // error (nil on success). The context bounds every solve; its deadline and
 // cancellation propagate into branch-and-bound exactly as in DecideHourCtx.
 //
 // The batch is split into contiguous chunks, one per goroutine, each
-// processed in input order. For hour sequences this is the cache-friendly
-// order: with Options.SolverCache on, hour h's root basis crashes hour h+1's
-// root LP inside the same chunk, instead of interleaving unrelated hours
-// through the shared cache. Which hour solved last then depends on the
-// chunking, so with the cache on answers can differ from serial ones in the
-// last ulps.
+// processed in input order.
 func (s *System) DecideBatch(ctx context.Context, ins []HourInput) ([]Decision, []error) {
 	decs := make([]Decision, len(ins))
 	errs := make([]error, len(ins))

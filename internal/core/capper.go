@@ -83,6 +83,8 @@ func (s *System) decideHour(in HourInput, so milp.Options) (Decision, error) {
 	return dec, err
 }
 
+// decideSteps runs the two steps; each starts from the root bases the step
+// before it handed on, so the decision returned hands on every kind solved.
 func (s *System) decideSteps(in HourInput, so milp.Options) (Decision, error) {
 	if err := s.ValidateInput(in); err != nil {
 		return Decision{}, err
@@ -108,6 +110,7 @@ func (s *System) decideSteps(in HourInput, so milp.Options) (Decision, error) {
 			d1.Solver = stats
 			return d1, nil
 		}
+		in.Warm = d1.Warm
 	case errors.Is(err, ErrInfeasible):
 		// Over capacity; fall through to throughput maximization.
 	default:
@@ -130,6 +133,7 @@ func (s *System) decideSteps(in HourInput, so milp.Options) (Decision, error) {
 		d2.Solver = stats
 		return d2, nil
 	}
+	in.Warm = d2.Warm
 
 	// Step 2 fallback: serve premium only, at minimum cost, over budget.
 	d3, err := minCost(in, in.PremiumLambda, &stats, so, kindMinCostPremium)

@@ -233,9 +233,10 @@ func (s *System) decompMaxThroughput(in HourInput, stats *SolverStats, so milp.O
 // decisionFromDecomp maps a recovered primal onto the capper's decision
 // shape, re-deriving the tariff components from the allocation values (the
 // same exactness discipline as decisionFrom: the audit re-checks claims, so
-// they must be rate×power arithmetic, not objective readbacks).
+// they must be rate×power arithmetic, not objective readbacks). The carried
+// bases pass through.
 func (s *System) decisionFromDecomp(res decomp.Result, in HourInput) Decision {
-	d := Decision{Sites: make([]SiteAlloc, len(res.Sites))}
+	d := Decision{Sites: make([]SiteAlloc, len(res.Sites)), Warm: in.Warm}
 	for i, a := range res.Sites {
 		alloc := SiteAlloc{
 			Lambda:         a.Load,

@@ -39,9 +39,9 @@ type SolverStats struct {
 	LPRefactorizations int
 	LPBasisUpdates     int
 	// WarmStarts counts the MILP solves whose root LP finished from the
-	// basis carried from an earlier hour (Options.SolverCache). Omitted from
-	// JSON when zero, so the ladder state journaled without the cache keeps
-	// its bytes.
+	// basis carried from an earlier hour (HourInput.Warm). Omitted from JSON
+	// when zero, so the ladder state journaled by an hour that started cold
+	// (a tariff hour, the first after a restart) keeps its bytes.
 	WarmStarts int `json:",omitempty"`
 	// DecompSolves counts hour solves routed to the dual-decomposition path
 	// (Options.Decompose above the fleet-size threshold); all stay 0 on the
@@ -239,6 +239,9 @@ type Decision struct {
 	// (DegradeNone for a clean optimal solve).
 	Degraded Degrade
 	Solver   SolverStats
+	// Warm is what the next hour should start from (see RootBases); never
+	// marshaled, so journaled decisions keep their bytes.
+	Warm RootBases `json:"-"`
 }
 
 // siteVars holds the MILP variable handles of one site.
@@ -503,11 +506,10 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 	if err != nil {
 		return Decision{}, err
 	}
-	sol := m.SolveWithOptions(s.warmOptions(so, kind, in))
+	sol := m.SolveWithOptions(warmOptions(so, kind, in))
 	if stats != nil {
 		stats.add(sol)
 	}
-	s.rememberSolve(kind, sol, in)
 	switch sol.Status {
 	case milp.Optimal:
 	case milp.TimeLimit:
@@ -520,6 +522,7 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 		return Decision{}, fmt.Errorf("core: cost minimization ended %v", sol.Status)
 	}
 	d := s.decisionFrom(sol, vars, scale, in)
+	d.Warm = carried(in, kind, sol)
 	if sol.Status == milp.TimeLimit {
 		d.Degraded = DegradeTimeLimit
 	}
@@ -588,11 +591,10 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 	if err != nil {
 		return Decision{}, err
 	}
-	sol := m.SolveWithOptions(s.warmOptions(so, kind, in))
+	sol := m.SolveWithOptions(warmOptions(so, kind, in))
 	if stats != nil {
 		stats.add(sol)
 	}
-	s.rememberSolve(kind, sol, in)
 	switch {
 	case sol.Status == milp.Optimal:
 	case sol.Status == milp.TimeLimit && len(sol.X) > 0:
@@ -603,6 +605,7 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 		return Decision{}, fmt.Errorf("core: throughput maximization ended %v", sol.Status)
 	}
 	d := s.decisionFrom(sol, vars, scale, in)
+	d.Warm = carried(in, kind, sol)
 	if sol.Status == milp.TimeLimit {
 		d.Degraded = DegradeTimeLimit
 	}

@@ -46,6 +46,11 @@ func (o ResilientOptions) maxStale() int {
 // patched with the last pristine values seen before deciding, so a price- or
 // demand-feed dropout degrades the answer instead of killing the hour.
 //
+// Each hour starts from the root bases (RootBases) the last accepted MILP
+// answer handed on, whatever the input carried; a lower rung leaves them as
+// they were. They are not durable, so the first hour after a restart starts
+// cold.
+//
 // Decide is safe for concurrent use.
 type Resilient struct {
 	sys  *System
@@ -57,6 +62,7 @@ type Resilient struct {
 	lastDemand   []float64
 	lastBudget   float64
 	haveBudget   bool
+	warm         RootBases
 	failSolver   map[int]bool
 	failFallback map[int]bool
 	failAudit    map[int]bool
@@ -115,11 +121,13 @@ func (r *Resilient) DecideCtx(ctx context.Context, in HourInput) Decision {
 	defer r.mu.Unlock()
 
 	in = r.sanitize(in)
+	in.Warm = r.warm
 
 	audited := false
 	if !r.failSolver[in.Hour] {
 		dec, err := r.solveSupervised(ctx, in)
 		if err == nil {
+			r.warm = dec.Warm
 			r.remember(in.Hour, dec)
 			return dec
 		}
@@ -252,27 +260,14 @@ func (r *Resilient) sanitize(in HourInput) HourInput {
 		in.Batteries = nil
 	}
 	for i, b := range in.Batteries {
-		if badBatterySpec(b) {
+		// A spec validation would reject means no battery there this hour.
+		if b.Validate() != nil {
 			bats := append([]BatterySpec(nil), in.Batteries...)
 			bats[i] = BatterySpec{}
 			in.Batteries = bats
 		}
 	}
 	return in
-}
-
-// badBatterySpec reports whether a spec would fail validation (the sanitizer
-// zeroes it — no battery at that site this hour — instead of rejecting).
-func badBatterySpec(b BatterySpec) bool {
-	if b.CapacityMWh == 0 && !math.IsNaN(b.CapacityMWh) {
-		return false // explicit "no battery"
-	}
-	return math.IsNaN(b.CapacityMWh) || math.IsInf(b.CapacityMWh, 0) || b.CapacityMWh < 0 ||
-		math.IsNaN(b.MaxChargeMW) || math.IsInf(b.MaxChargeMW, 0) || b.MaxChargeMW < 0 ||
-		math.IsNaN(b.MaxDischargeMW) || math.IsInf(b.MaxDischargeMW, 0) || b.MaxDischargeMW < 0 ||
-		math.IsNaN(b.Efficiency) || b.Efficiency <= 0 || b.Efficiency > 1 ||
-		math.IsNaN(b.SoCMWh) || b.SoCMWh < 0 || b.SoCMWh > b.CapacityMWh*(1+1e-9) ||
-		math.IsNaN(b.ValueUSDPerMWh) || math.IsInf(b.ValueUSDPerMWh, 0) || b.ValueUSDPerMWh < 0
 }
 
 // tryMILP runs the two-step algorithm with panic recovery: a solver bug

@@ -89,15 +89,8 @@ type Options struct {
 	// from the exact MILP; 0 → 20. At or below the threshold the exact
 	// branch-and-bound remains the oracle.
 	DecomposeThreshold int
-	// SolverCache carries each solve kind's root LP basis from one hour to
-	// the next: the root LP crashes from the basis the kind's last optimal
-	// solve left instead of starting cold, even when price segments moving
-	// into or out of reach changed the model's shape (the basis names its
-	// columns, and the crash repairs what no longer fits). Hours with
-	// tariff extras neither read nor write it. Decisions match cold solves
-	// up to the solver's optimality gap, but the basis an hour starts from
-	// depends on which hour of its kind solved last, so answers can move in
-	// the last ulps with solve order; that is why it stays off by default.
+	// Deprecated: ignored. Each hour's root LP starts from the bases its
+	// input carries (HourInput.Warm).
 	SolverCache bool
 }
 
@@ -135,21 +128,17 @@ func (sm siteModel) multi() bool { return len(sm.site.DC.Classes) > 0 }
 // Concurrency: after NewSystem returns, every field the decision paths read
 // (opts, models, Sites) is immutable, so DecideHour / DecideHourCtx /
 // DecideBatch and the step solvers are safe for concurrent use from many
-// goroutines — capperd serves all HTTP handlers from one System. The
-// instrumentation pointer is the only mutable cell and is accessed
-// atomically, so SetMetrics may race with in-flight decisions without
-// corruption (decisions started before the swap report to the old bundle).
+// goroutines — capperd serves all HTTP handlers from one System; a decision
+// depends only on its input (HourInput.Warm included). The instrumentation
+// pointer is the only mutable cell and is accessed atomically, so SetMetrics
+// may race with in-flight decisions without corruption (decisions started
+// before the swap report to the old bundle).
 type System struct {
 	Sites []Site
 
 	opts    Options
 	models  []siteModel
 	metrics atomic.Pointer[Metrics] // optional instrumentation (see SetMetrics)
-	// cache is the cross-hour solve cache (nil unless Options.SolverCache).
-	// It is internally locked, so the concurrency contract above still holds:
-	// concurrent decisions race only on which hour's root basis the next
-	// solve crashes from, never on correctness.
-	cache *SolveCache
 	// multiClass is set when any site has server classes.
 	multiClass bool
 }
@@ -164,9 +153,6 @@ func NewSystem(dcs []*dcmodel.Site, policies []pricing.Policy, opts Options) (*S
 		return nil, fmt.Errorf("core: %d data centers but %d policies", len(dcs), len(policies))
 	}
 	s := &System{opts: opts}
-	if opts.SolverCache {
-		s.cache = &SolveCache{}
-	}
 	for i, dc := range dcs {
 		if err := dc.Validate(); err != nil {
 			return nil, fmt.Errorf("core: site %d: %w", i, err)
@@ -270,6 +256,10 @@ type HourInput struct {
 	// charge/discharge variables bounded by the spec and by the current
 	// state of charge.
 	Batteries []BatterySpec
+
+	// Warm is the root bases carried from an earlier hour (see RootBases);
+	// the zero value solves cold. Never marshaled.
+	Warm RootBases `json:"-"`
 }
 
 // BatterySpec is one site's storage as the hour MILP sees it: the physical
@@ -294,6 +284,30 @@ type BatterySpec struct {
 	// callers should set ν near the site's mid-band price.
 	ValueUSDPerMWh float64
 }
+
+// Validate reports the first problem with the spec. A zero capacity means
+// no battery, whatever the other fields hold; a battery needs finite,
+// nonnegative rates, an efficiency in (0, 1], a state of charge within
+// [0, capacity] and a finite, nonnegative energy value.
+func (b BatterySpec) Validate() error {
+	switch {
+	case !finite(b.CapacityMWh) || b.CapacityMWh < 0:
+		return fmt.Errorf("battery capacity %v MWh", b.CapacityMWh)
+	case b.CapacityMWh == 0:
+		return nil
+	case !finite(b.MaxChargeMW) || b.MaxChargeMW < 0 || !finite(b.MaxDischargeMW) || b.MaxDischargeMW < 0:
+		return fmt.Errorf("battery rates %v/%v MW", b.MaxChargeMW, b.MaxDischargeMW)
+	case math.IsNaN(b.Efficiency) || b.Efficiency <= 0 || b.Efficiency > 1:
+		return fmt.Errorf("battery efficiency %v", b.Efficiency)
+	case math.IsNaN(b.SoCMWh) || b.SoCMWh < 0 || b.SoCMWh > b.CapacityMWh*(1+1e-9):
+		return fmt.Errorf("battery state of charge %v MWh outside [0, %v]", b.SoCMWh, b.CapacityMWh)
+	case !finite(b.ValueUSDPerMWh) || b.ValueUSDPerMWh < 0:
+		return fmt.Errorf("battery energy value %v", b.ValueUSDPerMWh)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // active reports whether the spec describes a usable battery.
 func (b BatterySpec) active() bool {
@@ -341,8 +355,8 @@ func (in HourInput) hasBatteries() bool {
 }
 
 // hasTariffExtras reports whether the hour uses any tariff component beyond
-// the energy-only model — the condition under which the solve cache is
-// bypassed.
+// the energy-only model — the condition under which the hour's root LPs
+// start cold and leave the carried bases as they got them (warmOptions).
 func (in HourInput) hasTariffExtras() bool {
 	return in.DemandChargeUSDPerMW > 0 || in.twoSettlement() || in.hasBatteries()
 }
@@ -455,22 +469,8 @@ func (s *System) validateTariffInput(in HourInput) error {
 		return fmt.Errorf("%w: %d battery specs for %d sites", ErrBadInput, len(in.Batteries), n)
 	}
 	for i, b := range in.Batteries {
-		switch {
-		case math.IsNaN(b.CapacityMWh) || math.IsInf(b.CapacityMWh, 0) || b.CapacityMWh < 0:
-			return fmt.Errorf("%w: battery capacity %v MWh at site %d", ErrBadInput, b.CapacityMWh, i)
-		case b.CapacityMWh == 0:
-			continue // no battery at this site
-		case math.IsNaN(b.MaxChargeMW) || b.MaxChargeMW < 0 || math.IsNaN(b.MaxDischargeMW) || b.MaxDischargeMW < 0:
-			return fmt.Errorf("%w: battery rates %v/%v MW at site %d", ErrBadInput, b.MaxChargeMW, b.MaxDischargeMW, i)
-		case math.IsInf(b.MaxChargeMW, 0) || math.IsInf(b.MaxDischargeMW, 0):
-			return fmt.Errorf("%w: battery rates %v/%v MW at site %d", ErrBadInput, b.MaxChargeMW, b.MaxDischargeMW, i)
-		case b.Efficiency <= 0 || b.Efficiency > 1 || math.IsNaN(b.Efficiency):
-			return fmt.Errorf("%w: battery efficiency %v at site %d", ErrBadInput, b.Efficiency, i)
-		case math.IsNaN(b.SoCMWh) || b.SoCMWh < 0 || b.SoCMWh > b.CapacityMWh*(1+1e-9):
-			return fmt.Errorf("%w: battery state of charge %v MWh outside [0, %v] at site %d",
-				ErrBadInput, b.SoCMWh, b.CapacityMWh, i)
-		case math.IsNaN(b.ValueUSDPerMWh) || math.IsInf(b.ValueUSDPerMWh, 0) || b.ValueUSDPerMWh < 0:
-			return fmt.Errorf("%w: battery energy value %v at site %d", ErrBadInput, b.ValueUSDPerMWh, i)
+		if err := b.Validate(); err != nil {
+			return fmt.Errorf("%w: %v at site %d", ErrBadInput, err, i)
 		}
 	}
 	return nil

@@ -72,6 +72,10 @@ type SolverTrace struct {
 	// work (LU rebuilds, eta-file updates).
 	LPRefactorizations int `json:"lpRefactorizations,omitempty"`
 	LPBasisUpdates     int `json:"lpBasisUpdates,omitempty"`
+	// WarmStarts counts the solves whose root LP finished from a basis
+	// carried from an earlier hour. Such a root can crash straight to its
+	// optimum, so an hour may report solves with no pivots.
+	WarmStarts int `json:"warmStarts,omitempty"`
 	// DecompIterations / DecompGap / DecompDualBound describe the Lagrangian
 	// dual-decomposition effort when the fleet-scale path served the hour:
 	// subgradient iterations across the hour's step solves, the worst proven

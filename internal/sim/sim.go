@@ -574,6 +574,7 @@ func decisionTrace(cfg Config, h int, in core.HourInput, dec core.Decision, real
 
 			LPRefactorizations: dec.Solver.LPRefactorizations,
 			LPBasisUpdates:     dec.Solver.LPBasisUpdates,
+			WarmStarts:         dec.Solver.WarmStarts,
 
 			DecompIterations: dec.Solver.DecompIterations,
 			DecompGap:        dec.Solver.DecompGap,
@@ -638,10 +639,13 @@ func RunAll(cfg Config, deciders ...Decider) ([]Result, error) {
 	return results, nil
 }
 
-// CostCapping wraps the paper's two-step algorithm as a Decider.
+// CostCapping wraps the paper's two-step algorithm as a Decider. It carries
+// the root bases (core.RootBases) from each of its hours to the next, so
+// Decide is not safe for concurrent use.
 type CostCapping struct {
 	sys  *core.System
 	name string
+	warm core.RootBases
 }
 
 // NewCostCapping builds the paper's strategy over the given sites: full
@@ -672,5 +676,10 @@ func (c *CostCapping) System() *core.System { return c.sys }
 
 // Decide runs the two-step bill capping algorithm.
 func (c *CostCapping) Decide(in core.HourInput) (core.Decision, error) {
-	return c.sys.DecideHour(in)
+	in.Warm = c.warm
+	dec, err := c.sys.DecideHour(in)
+	if err == nil {
+		c.warm = dec.Warm
+	}
+	return dec, err
 }

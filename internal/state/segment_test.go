@@ -143,9 +143,34 @@ func TestSnapshotDeletesCoveredSegments(t *testing.T) {
 	}
 }
 
+// dropCuts rewrites every snapshot in dir in the framing written before
+// snapshots recorded their cut: the payload and its bare CRC, no segment.
+func dropCuts(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range snapshotNames(dir) {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r record
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatal(err)
+		}
+		line, err := seal(r.V, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSnapshotFromBeforeOpenKeepsSegments: the store does not know where a
-// snapshot written before Open was cut, so every segment stays until a
-// snapshot written since Open is the oldest kept.
+// snapshot that records no cut (as written before snapshots recorded one)
+// was cut, so every segment stays until a snapshot written since Open is
+// the oldest kept.
 func TestSnapshotFromBeforeOpenKeepsSegments(t *testing.T) {
 	dir := t.TempDir()
 	j := newJournal(t, dir)
@@ -157,6 +182,7 @@ func TestSnapshotFromBeforeOpenKeepsSegments(t *testing.T) {
 	if err := j.s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	dropCuts(t, dir)
 	before := segNumbers(t, dir)
 
 	var err error
@@ -181,6 +207,88 @@ func TestSnapshotFromBeforeOpenKeepsSegments(t *testing.T) {
 	j.s.Close()
 	if cp, _ := reopen(t, dir); !bytes.Equal(marshal(t, cp), want) {
 		t.Errorf("restored %s, want %s", marshal(t, cp), want)
+	}
+}
+
+// TestSnapshotCutSurvivesReopen: a snapshot states where it cut the log, so
+// after a reopen the first snapshot written deletes the segments both kept
+// snapshots cover, as if the store had never closed, and a restore still
+// rebuilds the last recorded hour.
+func TestSnapshotCutSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	j.record(5)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	j.record(5)
+	if err := j.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("segments %v before the reopen, want [2 3]", got)
+	}
+
+	var err error
+	if j.s, _, _, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	j.record(5)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{3, 4}) {
+		t.Errorf("segments %v after the first snapshot since the reopen, want [3 4]: the older kept snapshot was cut at 3", got)
+	}
+	j.record(2)
+	want := marshal(t, j.checkpoint())
+	j.s.Close()
+	if cp, _ := reopen(t, dir); !bytes.Equal(marshal(t, cp), want) {
+		t.Errorf("restored %s, want %s", marshal(t, cp), want)
+	}
+}
+
+// TestSnapshotCutIsChecksummed: the checksum covers a snapshot's cut, so a
+// record whose segment number changed is corrupt: the restore falls back to
+// the older snapshot and nothing is compacted by the changed number.
+func TestSnapshotCutIsChecksummed(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	j.record(5)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	j.record(3)
+	want := marshal(t, j.checkpoint())
+	if err := j.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names := snapshotNames(dir)
+	path := filepath.Join(dir, names[len(names)-1])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(data, []byte(`"seg":3,`), []byte(`"seg":9,`), 1)
+	if bytes.Equal(bad, data) {
+		t.Fatalf("no cut at segment 3 in %s", data)
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, cp, info, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if info.SnapshotFallbacks != 1 {
+		t.Errorf("%d snapshot fallbacks, want 1", info.SnapshotFallbacks)
+	}
+	if got := marshal(t, cp); !bytes.Equal(got, want) {
+		t.Errorf("restored %s\nwant     %s", got, want)
+	}
+	if _, ok := s.cuts[names[len(names)-1]]; ok {
+		t.Error("the corrupt snapshot's cut was loaded")
 	}
 }
 
@@ -286,6 +394,59 @@ func TestTearDropsLaterSegments(t *testing.T) {
 	j.s.Close()
 	cp, info := reopen(t, dir)
 	if !bytes.Equal(marshal(t, cp), want) || info.WALCorruptions != 0 {
+		t.Errorf("restored %s (%+v), want %s", marshal(t, cp), info, want)
+	}
+}
+
+// TestTearForgetsLaterCuts: a tear in a segment older than a kept
+// snapshot's cut leaves appends continuing before that cut, which the cut
+// then no longer covers. The next snapshot must keep the segment they went
+// to, so a restore that falls back past it still finds them.
+func TestTearForgetsLaterCuts(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	j.record(3)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	j.record(3)
+	j.s.Close()
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("segments %v, want [2 3]", got)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	torn := append(bytes.Join(lines[:2], nil), `{"crc":1,"v":{}}`+"\n"...)
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var cp *Checkpoint
+	if j.s, cp, _, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if j.ledger, err = budget.Restore(*cp.Budget); err != nil {
+		t.Fatal(err)
+	}
+	j.hour = cp.Hour
+	j.record(2) // into segment 2, before the kept snapshot's cut at 3
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2, 4}) {
+		t.Errorf("segments %v, want [2 4]: segment 2 holds the records since the tear", got)
+	}
+	want := marshal(t, j.checkpoint())
+	j.s.Close()
+	names := snapshotNames(dir)
+	if err := os.WriteFile(filepath.Join(dir, names[len(names)-1]), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, info := reopen(t, dir)
+	if !bytes.Equal(marshal(t, cp), want) || info.SnapshotFallbacks != 1 {
 		t.Errorf("restored %s (%+v), want %s", marshal(t, cp), info, want)
 	}
 }

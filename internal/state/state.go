@@ -15,6 +15,8 @@ package state
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -114,9 +116,10 @@ type Store struct {
 	wal *os.File
 	top int
 
-	// snapMu serializes snapshot writes. cuts maps each snapshot file
-	// written since Open to the segment its cut began; a kept snapshot
-	// missing from it was written before Open and keeps every segment.
+	// snapMu serializes snapshot writes. cuts maps each kept snapshot file
+	// to the segment its cut began, as its record states; a kept snapshot
+	// missing from it (written before snapshots recorded their cut, or
+	// corrupt) keeps every segment.
 	snapMu sync.Mutex
 	cuts   map[string]int
 
@@ -129,28 +132,44 @@ type Store struct {
 // record is the on-disk framing: one JSON line per record, the payload's
 // CRC-32 (IEEE) alongside the payload itself. json.RawMessage preserves the
 // exact payload bytes, so the checksum verifies what was actually written.
+// A snapshot's record also states the segment its cut began (Seg), which
+// the checksum covers too; a WAL entry's, and a snapshot's written before
+// snapshots recorded their cut, has none.
 type record struct {
 	CRC uint32          `json:"crc"`
+	Seg int             `json:"seg,omitempty"`
 	V   json.RawMessage `json:"v"`
 }
 
-func seal(v any) ([]byte, error) {
+// checksum is the CRC-32 of the payload followed, when seg is set, by
+// seg's eight big-endian bytes.
+func checksum(p []byte, seg int) uint32 {
+	c := crc32.ChecksumIEEE(p)
+	if seg != 0 {
+		c = crc32.Update(c, crc32.IEEETable, binary.BigEndian.AppendUint64(nil, uint64(seg)))
+	}
+	return c
+}
+
+func seal(v any, seg int) ([]byte, error) {
 	p, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(record{CRC: crc32.ChecksumIEEE(p), V: p})
+	return json.Marshal(record{CRC: checksum(p, seg), Seg: seg, V: p})
 }
 
-func unseal(line []byte, v any) error {
+// unseal verifies a record, decodes its payload into v and returns its
+// segment number.
+func unseal(line []byte, v any) (int, error) {
 	var r record
 	if err := json.Unmarshal(line, &r); err != nil {
-		return err
+		return 0, err
 	}
-	if crc32.ChecksumIEEE(r.V) != r.CRC {
-		return fmt.Errorf("state: CRC mismatch")
+	if checksum(r.V, r.Seg) != r.CRC {
+		return 0, fmt.Errorf("state: CRC mismatch")
 	}
-	return json.Unmarshal(r.V, v)
+	return r.Seg, json.Unmarshal(r.V, v)
 }
 
 // Open opens (creating if needed) the state directory, restores the newest
@@ -167,7 +186,7 @@ func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 		return nil, nil, info, err
 	}
 
-	cp, fallbacks := loadSnapshot(dir)
+	cp, cuts, fallbacks := loadSnapshots(dir)
 	info.SnapshotFallbacks = fallbacks
 	segs, err := segments(dir)
 	if err != nil {
@@ -191,10 +210,17 @@ func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 
 	// A fresh directory's first segment is created like any log file,
 	// without a directory fsync.
-	s := &Store{dir: dir, top: 1, cuts: map[string]int{}}
-	name := segName(1)
+	s := &Store{dir: dir, top: 1, cuts: cuts}
+	name, openN := segName(1), 1
 	if len(segs) > 0 {
-		s.top, name = segs[len(segs)-1].n, segs[open].name
+		s.top, name, openN = segs[len(segs)-1].n, segs[open].name, segs[open].n
+	}
+	// A tear (or a lost segment) can leave appends continuing in a segment
+	// older than a snapshot's cut; that cut no longer covers what precedes it.
+	for snap, seg := range cuts {
+		if seg > openN {
+			delete(cuts, snap)
+		}
 	}
 	if s.wal, err = os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, nil, info, fmt.Errorf("state: %w", err)
@@ -205,7 +231,7 @@ func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 // Append durably logs one recorded hour: the record is written and fsync'd
 // before Append returns, so a crash immediately after never loses it.
 func (s *Store) Append(e Entry) error {
-	line, err := seal(e)
+	line, err := seal(e, 0)
 	if err != nil {
 		return fmt.Errorf("state: %w", err)
 	}
@@ -230,14 +256,15 @@ type Cut struct {
 
 // Cut seals cp and cuts the log: later appends go to a new segment, created
 // and made durable (directory fsync) before Cut returns. The sealed bytes
-// share no memory with cp, so the caller may change what cp points at while
-// the Cut is written.
+// state that segment, so a later Open knows which segments the snapshot
+// covers, and share no memory with cp, so the caller may change what cp
+// points at while the Cut is written.
 func (s *Store) Cut(cp Checkpoint) (*Cut, error) {
-	line, err := seal(cp)
+	n := s.top + 1
+	line, err := seal(cp, n)
 	if err != nil {
 		return nil, fmt.Errorf("state: %w", err)
 	}
-	n := s.top + 1
 	f, err := os.OpenFile(filepath.Join(s.dir, segName(n)), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("state: %w", err)
@@ -318,7 +345,7 @@ func (c *Cut) Write() error {
 	// earliest, so the segments before its cut are dead weight.
 	floor := c.seg
 	for _, name := range names {
-		floor = min(floor, s.cuts[name]) // 0 for a snapshot from before Open
+		floor = min(floor, s.cuts[name]) // 0 for a snapshot with no known cut
 	}
 	segs, err := segments(s.dir)
 	if err != nil {
@@ -415,22 +442,35 @@ func snapshotNames(dir string) []string {
 	return names
 }
 
-// loadSnapshot returns the newest snapshot that parses and verifies, counting
-// how many corrupt generations were skipped on the way.
-func loadSnapshot(dir string) (*Checkpoint, int) {
-	names := snapshotNames(dir)
+// loadSnapshots returns the newest snapshot that parses and verifies,
+// counting how many corrupt generations were skipped on the way, and the
+// cut each verified snapshot states.
+func loadSnapshots(dir string) (*Checkpoint, map[string]int, int) {
+	var newest *Checkpoint
+	cuts := map[string]int{}
 	fallbacks := 0
+	names := snapshotNames(dir)
 	for i := len(names) - 1; i >= 0; i-- {
 		data, err := os.ReadFile(filepath.Join(dir, names[i]))
+		var cp Checkpoint
+		seg := 0
 		if err == nil {
-			var cp Checkpoint
-			if unseal([]byte(strings.TrimSpace(string(data))), &cp) == nil && cp.Hour >= 0 {
-				return &cp, fallbacks
-			}
+			seg, err = unseal(bytes.TrimSpace(data), &cp)
 		}
-		fallbacks++
+		if err != nil || cp.Hour < 0 {
+			if newest == nil {
+				fallbacks++
+			}
+			continue
+		}
+		if seg > 0 {
+			cuts[names[i]] = seg
+		}
+		if newest == nil {
+			newest = &cp
+		}
 	}
-	return nil, fallbacks
+	return newest, cuts, fallbacks
 }
 
 // loadWAL reads the segments in order and returns their valid records, the
@@ -477,7 +517,7 @@ func readSegment(path string) (entries []Entry, good int64, torn bool, err error
 	for sc.Scan() {
 		line := sc.Bytes()
 		var e Entry
-		if unseal(line, &e) != nil {
+		if _, err := unseal(line, &e); err != nil {
 			torn = true
 			break
 		}

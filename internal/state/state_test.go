@@ -352,7 +352,7 @@ func TestOpenIgnoresRetiredForecastKeys(t *testing.T) {
 		fmt.Sprintf("%s%08d%s", snapPrefix, 1, snapSuffix): snap,
 		legacyWAL: entry,
 	} {
-		line, err := seal(v)
+		line, err := seal(v, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
