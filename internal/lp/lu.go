@@ -13,10 +13,10 @@ import (
 // BTRAN apply the eta file around the triangular solves; refactorization
 // collapses the file back into a fresh LU (see refactorEvery).
 //
-// The LU arrays are immutable after factorize, so every warm re-solve from a
-// frozen root can share one factor as long as it takes the eta slice with a
-// clamped capacity (clone) so its appends reallocate instead of aliasing. All
-// dense scratch lives in the calling solver, never in the factor.
+// The LU arrays are immutable after factorize, and an eta never changes once
+// appended, so a node re-solve's factor (resetTo) shares the frozen root's LU
+// arrays and root etas read-only and appends its own etas into its own arena.
+// All dense scratch lives in the calling solver, never in the factor.
 type luFactor struct {
 	m int
 
@@ -37,6 +37,12 @@ type luFactor struct {
 	uVal    []float64
 
 	etas []eta
+	// etaIdx and etaVal are the arena the factor's own etas' entries live
+	// in. An eta keeps its entries as subslices, so an arena that grows
+	// leaves earlier etas reading the array they were written to, and etas
+	// copied from another factor keep reading that factor's arena.
+	etaIdx []int
+	etaVal []float64
 }
 
 // eta is one product-form basis update: position p was replaced by a column
@@ -48,12 +54,16 @@ type eta struct {
 	val  []float64
 }
 
-// clone shares the immutable LU arrays but clamps the eta slice's capacity so
-// the clone's appends always reallocate. Cheap enough to run per B&B node.
-func (f *luFactor) clone() *luFactor {
-	g := *f
-	g.etas = f.etas[:len(f.etas):len(f.etas)]
-	return &g
+// resetTo makes f the frozen factor g with an empty eta tail of its own: g's
+// LU arrays and etas are shared read-only (g's eta list is copied into f's,
+// so f's appends never touch g's), and f's arena is truncated. f's eta list
+// and arena keep their capacity, so a reset allocates nothing once they have
+// grown to fit a re-solve.
+func (f *luFactor) resetTo(g *luFactor) {
+	etas, idx, val := f.etas[:0], f.etaIdx[:0], f.etaVal[:0]
+	*f = *g
+	f.etas = append(etas, g.etas...)
+	f.etaIdx, f.etaVal = idx, val
 }
 
 // factorize builds the LU of the basis columns basis[0..m-1] of pr using
@@ -295,14 +305,16 @@ func (f *luFactor) btran(c, w []float64) {
 }
 
 // update appends the product-form eta for replacing basis position p with a
-// column whose FTRANed form is the dense position-space vector abar.
+// column whose FTRANed form is the dense position-space vector abar. Its
+// entries go to the end of the factor's arena.
 func (f *luFactor) update(p int, abar []float64) {
-	e := eta{p: p, diag: abar[p]}
+	start := len(f.etaIdx)
 	for i, v := range abar {
 		if i != p && math.Abs(v) > 1e-12 {
-			e.idx = append(e.idx, i)
-			e.val = append(e.val, v)
+			f.etaIdx = append(f.etaIdx, i)
+			f.etaVal = append(f.etaVal, v)
 		}
 	}
-	f.etas = append(f.etas, e)
+	end := len(f.etaIdx)
+	f.etas = append(f.etas, eta{p: p, diag: abar[p], idx: f.etaIdx[start:end:end], val: f.etaVal[start:end:end]})
 }

@@ -1,18 +1,20 @@
 package lp
 
-import "math"
-
-// Sparse-core tuning knobs.
-const (
-	// refactorEvery bounds the eta file: once this many product-form updates
-	// accumulate, the basis is refactorized from scratch and the primal
-	// values and reduced costs are recomputed, washing out drift.
-	refactorEvery = 64
-	// weakPivot is the magnitude below which a pivot element is mistrusted:
-	// the solver refactorizes and retries, and only if the element stays weak
-	// does it exclude the column (primal) or give up to the fallback (dual).
-	weakPivot = 1e-7
+import (
+	"math"
+	"math/bits"
 )
+
+// refactorEvery bounds the eta file: once this many product-form updates
+// accumulate, the basis is refactorized from scratch and the primal values
+// and reduced costs are recomputed, washing out drift. A variable, so a test
+// can force a refactorization inside a short re-solve.
+var refactorEvery = 64
+
+// weakPivot is the magnitude below which a pivot element is mistrusted: the
+// solver refactorizes and retries, and only if the element stays weak does it
+// exclude the column (primal) or give up to the fallback (dual).
+const weakPivot = 1e-7
 
 // Nonbasic/basic column statuses of the bounded revised simplex.
 const (
@@ -24,8 +26,8 @@ const (
 // revSolver is the state of one sparse revised-simplex solve: the basis and
 // its LU factor, primal values of the basic columns, reduced costs, and the
 // Devex reference weights. After an optimal solve the state is frozen inside
-// a WarmStart; each ReSolve copies it (cloneForReSolve) and mutates only the
-// copy.
+// a WarmStart; each ReSolve copies it into the warm start's node workspace
+// (resetFrom) and mutates only the workspace.
 type revSolver struct {
 	pr     *revProblem
 	f      *luFactor
@@ -42,6 +44,7 @@ type revSolver struct {
 	rhoBuf []float64 // dense m scratch: BTRAN unit vector → pivot row ρ
 	luBuf  []float64 // dense m scratch for the triangular solves
 	alpha  []float64 // dense column-space scratch: pivot row over all columns
+	mark   []uint64  // bitset of the columns pivotRow set in alpha
 
 	pivots    int
 	maxPivots int
@@ -70,6 +73,7 @@ func newRevSolver(pr *revProblem, opt Options) *revSolver {
 		s.w[j] = 1
 	}
 	s.alpha = make([]float64, capc)
+	s.mark = make([]uint64, (capc+63)/64)
 	s.xB = make([]float64, pr.m)
 	s.y = make([]float64, pr.m)
 	s.colBuf = make([]float64, pr.m)
@@ -159,11 +163,17 @@ func (s *revSolver) refactorize() bool {
 }
 
 // pivotRow fills s.alpha with α_N = (e_pᵀB⁻¹)·A over every column, using the
-// CSR rows scattered by the nonzeros of ρ = B⁻ᵀe_p.
+// CSR rows scattered by the nonzeros of ρ = B⁻ᵀe_p. It marks each column it
+// sets in s.mark and leaves every other entry zero, so the loops over the
+// pivot row walk only the marked columns, in the ascending order a walk over
+// every column takes: ties break as they would there.
 func (s *revSolver) pivotRow(p int) {
 	pr := s.pr
-	for j := range s.alpha[:pr.nTot()] {
-		s.alpha[j] = 0
+	for k, word := range s.mark {
+		for ; word != 0; word &= word - 1 {
+			s.alpha[k<<6|bits.TrailingZeros64(word)] = 0
+		}
+		s.mark[k] = 0
 	}
 	for i := range s.rhoBuf[:pr.m] {
 		s.rhoBuf[i] = 0
@@ -176,12 +186,18 @@ func (s *revSolver) pivotRow(p int) {
 			continue
 		}
 		for e := pr.rowPtr[i]; e < pr.rowPtr[i+1]; e++ {
-			s.alpha[pr.colIdx[e]] += ri * pr.rowVal[e]
+			j := pr.colIdx[e]
+			s.alpha[j] += ri * pr.rowVal[e]
+			s.mark[j>>6] |= 1 << (uint(j) & 63)
 		}
-		s.alpha[pr.n+i] += ri
+		j := pr.n + i
+		s.alpha[j] += ri
+		s.mark[j>>6] |= 1 << (uint(j) & 63)
 	}
 	for a := 0; a < pr.nart; a++ {
-		s.alpha[pr.n+pr.m+a] = pr.artSig[a] * s.rhoBuf[pr.artRow[a]]
+		j := pr.n + pr.m + a
+		s.alpha[j] = pr.artSig[a] * s.rhoBuf[pr.artRow[a]]
+		s.mark[j>>6] |= 1 << (uint(j) & 63)
 	}
 }
 
@@ -350,8 +366,7 @@ func (s *revSolver) primal() Status {
 // leaves to the bound it hit, q enters, and the reduced costs, Devex weights,
 // and LU eta file are updated. s.colBuf must hold ã = B⁻¹A_q.
 func (s *revSolver) pivotStep(q, p int, delta, t float64, leaveUpper bool) {
-	pr := s.pr
-	m := pr.m
+	m := s.pr.m
 	abar := s.colBuf
 
 	// Pivot row against the pre-update basis (the BTRAN must see the old B).
@@ -383,21 +398,24 @@ func (s *revSolver) pivotStep(q, p int, delta, t float64, leaveUpper bool) {
 	ratio := dq / alphaQ
 	wq := s.w[q]
 	maxW := 1.0
-	for j := 0; j < pr.nTot(); j++ {
-		if s.status[j] == isBasic || j == r {
-			continue
-		}
-		aj := s.alpha[j]
-		if aj == 0 {
-			continue
-		}
-		s.d[j] -= ratio * aj
-		az := aj / alphaQ
-		if cand := az * az * wq; cand > s.w[j] {
-			s.w[j] = cand
-		}
-		if s.w[j] > maxW {
-			maxW = s.w[j]
+	for k, word := range s.mark {
+		for ; word != 0; word &= word - 1 {
+			j := k<<6 | bits.TrailingZeros64(word)
+			if s.status[j] == isBasic || j == r {
+				continue
+			}
+			aj := s.alpha[j]
+			if aj == 0 {
+				continue
+			}
+			s.d[j] -= ratio * aj
+			az := aj / alphaQ
+			if cand := az * az * wq; cand > s.w[j] {
+				s.w[j] = cand
+			}
+			if s.w[j] > maxW {
+				maxW = s.w[j]
+			}
 		}
 	}
 	s.d[q] = 0
@@ -446,37 +464,40 @@ func (s *revSolver) dual() Status {
 		s.pivotRow(p)
 
 		enter, bestRatio, bestA := -1, math.Inf(1), 0.0
-		for j := 0; j < pr.nTot(); j++ {
-			st := s.status[j]
-			if st == isBasic || pr.lo[j] == pr.hi[j] {
-				continue
-			}
-			a := s.alpha[j]
-			aa := math.Abs(a)
-			if aa <= pivotTol {
-				continue
-			}
-			var elig bool
-			if st == atLower {
-				elig = (below && a < 0) || (!below && a > 0)
-			} else {
-				elig = (below && a > 0) || (!below && a < 0)
-			}
-			if !elig {
-				continue
-			}
-			dj := s.d[j]
-			// Clamp dual-feasibility noise so the ratio stays nonnegative.
-			if st == atLower {
-				if dj < 0 {
+		for k, word := range s.mark {
+			for ; word != 0; word &= word - 1 {
+				j := k<<6 | bits.TrailingZeros64(word)
+				st := s.status[j]
+				if st == isBasic || pr.lo[j] == pr.hi[j] {
+					continue
+				}
+				a := s.alpha[j]
+				aa := math.Abs(a)
+				if aa <= pivotTol {
+					continue
+				}
+				var elig bool
+				if st == atLower {
+					elig = (below && a < 0) || (!below && a > 0)
+				} else {
+					elig = (below && a > 0) || (!below && a < 0)
+				}
+				if !elig {
+					continue
+				}
+				dj := s.d[j]
+				// Clamp dual-feasibility noise so the ratio stays nonnegative.
+				if st == atLower {
+					if dj < 0 {
+						dj = 0
+					}
+				} else if dj > 0 {
 					dj = 0
 				}
-			} else if dj > 0 {
-				dj = 0
-			}
-			ratio := math.Abs(dj) / aa
-			if ratio < bestRatio-zeroTol || (ratio < bestRatio+zeroTol && aa > bestA) {
-				bestRatio, enter, bestA = ratio, j, aa
+				ratio := math.Abs(dj) / aa
+				if ratio < bestRatio-zeroTol || (ratio < bestRatio+zeroTol && aa > bestA) {
+					bestRatio, enter, bestA = ratio, j, aa
+				}
 			}
 		}
 		if enter < 0 {
@@ -525,12 +546,15 @@ func (s *revSolver) dual() Status {
 
 		dq := s.d[enter]
 		ratio := dq / alphaQ
-		for j := 0; j < pr.nTot(); j++ {
-			if s.status[j] == isBasic || j == bc {
-				continue
-			}
-			if aj := s.alpha[j]; aj != 0 {
-				s.d[j] -= ratio * aj
+		for k, word := range s.mark {
+			for ; word != 0; word &= word - 1 {
+				j := k<<6 | bits.TrailingZeros64(word)
+				if s.status[j] == isBasic || j == bc {
+					continue
+				}
+				if aj := s.alpha[j]; aj != 0 {
+					s.d[j] -= ratio * aj
+				}
 			}
 		}
 		s.d[enter] = 0
@@ -664,12 +688,15 @@ func (s *revSolver) driveOut(target func(col int) bool) bool {
 		}
 		s.pivotRow(pos)
 		bestJ, bestA := -1, 1e-7
-		for j := 0; j < n+m; j++ {
-			if s.status[j] == isBasic || pr.lo[j] == pr.hi[j] {
-				continue
-			}
-			if a := math.Abs(s.alpha[j]); a > bestA {
-				bestA, bestJ = a, j
+		for k, word := range s.mark {
+			for ; word != 0; word &= word - 1 {
+				j := k<<6 | bits.TrailingZeros64(word)
+				if j >= n+m || s.status[j] == isBasic || pr.lo[j] == pr.hi[j] {
+					continue
+				}
+				if a := math.Abs(s.alpha[j]); a > bestA {
+					bestA, bestJ = a, j
+				}
 			}
 		}
 		if bestJ < 0 {
@@ -757,24 +784,39 @@ func (s *revSolver) extractX(p *Problem, st Status) Solution {
 	return sol
 }
 
-// cloneForReSolve copies everything a re-solve mutates: statuses, values,
-// reduced costs, bounds, and the factor's eta slice (capacity-clamped so
-// appends reallocate). The LU arrays, matrix, and cost vector stay shared
-// read-only, which is what makes per-node B&B re-solves cheap.
-func (s *revSolver) cloneForReSolve() *revSolver {
+// newNode allocates a node workspace for re-solves from the frozen optimal
+// solver s: a solver of s's shape with bounds of its own, sharing s's
+// matrix, right-hand sides and costs read-only. resetFrom loads s's state
+// into it before each re-solve.
+func (s *revSolver) newNode() *revSolver {
 	pr := *s.pr
-	pr.lo = append([]float64(nil), s.pr.lo...)
-	pr.hi = append([]float64(nil), s.pr.hi...)
-	c := newRevSolver(&pr, Options{MaxPivots: 50*(pr.m+pr.nTot()) + 500})
-	copy(c.basis, s.basis)
-	copy(c.inBase, s.inBase[:len(c.inBase)])
-	copy(c.status, s.status)
-	copy(c.xB, s.xB)
-	copy(c.d, s.d)
-	copy(c.w, s.w)
-	c.f = s.f.clone()
-	c.phase1 = false
-	return c
+	pr.lo = make([]float64, len(s.pr.lo))
+	pr.hi = make([]float64, len(s.pr.hi))
+	return newRevSolver(&pr, Options{MaxPivots: 50*(pr.m+pr.nTot()) + 500})
+}
+
+// resetFrom loads the frozen optimal solver root into the node workspace s
+// by copying, not allocating: bounds, basis, statuses, basic values,
+// reduced costs and Devex weights. f, the workspace's own factor, becomes
+// root's factor with an empty eta tail (luFactor.resetTo) and s's factor. The
+// pivot counters and the Bland, stall, skip and failure state start clear,
+// whatever the previous re-solve left. The pivot row needs no reset: its
+// unmarked entries are zero, and pivotRow clears the marked ones. The rest of
+// the scratch is written before it is read.
+func (s *revSolver) resetFrom(root *revSolver, f *luFactor) {
+	copy(s.pr.lo, root.pr.lo)
+	copy(s.pr.hi, root.pr.hi)
+	copy(s.basis, root.basis)
+	copy(s.inBase, root.inBase)
+	copy(s.status, root.status)
+	copy(s.xB, root.xB)
+	copy(s.d, root.d)
+	copy(s.w, root.w)
+	f.resetTo(root.f)
+	s.f = f
+	s.phase1 = false
+	s.pivots, s.refactors, s.updates = 0, 0, 0
+	s.degen, s.bland, s.skip, s.failed = 0, false, nil, false
 }
 
 // solveRevised runs the sparse core. ok == false means the core hit a

@@ -3,21 +3,31 @@ package lp
 // WarmStart captures an optimally solved base state so that closely related
 // problems — the original plus a few extra inequality rows, exactly what
 // branch-and-bound generates — can be re-solved by the dual simplex method
-// from the parent's basis instead of from scratch. This is the warm-start
-// strategy MILP solvers like lp_solve use, and it is what makes the B&B
-// node cost a handful of pivots rather than a full two-phase solve.
+// from the base optimum's basis instead of from scratch. This is the
+// warm-start strategy MILP solvers like lp_solve use, and it is what makes
+// the B&B node cost a handful of pivots rather than a full two-phase solve.
 //
 // Single-variable extra rows — all that branch and bound ever generates —
-// become bound tightenings on the frozen sparse solver state, so a node
-// re-solve works on a basis of the same size as the root instead of a grown
-// tableau. A base optimum the dense tableau answered (the sparse core went
-// numerically singular) freezes no state: every ReSolve of it is cold.
+// become bound tightenings on a copy of the frozen sparse solver state, so a
+// node re-solve works on a basis of the same size as the root instead of a
+// grown tableau. The copy lives in one node workspace, allocated by the
+// first ReSolve and reset from the frozen state by each, so a warm ReSolve
+// allocates nothing but its answer. A base optimum the dense tableau
+// answered (the sparse core went numerically singular) freezes no state:
+// every ReSolve of it is cold.
+//
+// A WarmStart belongs to one goroutine: ReSolve reuses the workspace, so
+// concurrent calls on one WarmStart race. Root and Basis only read.
 type WarmStart struct {
 	problem *Problem
 	root    Solution
-	// rev is the frozen optimal sparse solver; ReSolve mutates clones. nil
+	// rev is the frozen optimal sparse solver, only read once frozen. nil
 	// when the dense tableau answered the base problem.
 	rev *revSolver
+	// node is the workspace ReSolve runs in, and nodeF its factor until a
+	// refactorization replaces it; both are reset from rev by every ReSolve.
+	node  *revSolver
+	nodeF luFactor
 }
 
 // ExtraRow is an additional inequality a·x (≤|≥) b over the structural
@@ -71,13 +81,16 @@ func (w *WarmStart) Basis() Basis {
 }
 
 // ReSolve solves the base problem plus the extra rows. Single-variable rows —
-// everything branch and bound generates — become bound tightenings on a
-// clone of the frozen optimal state: the reduced costs are untouched (costs
-// and basis are unchanged), so the point stays dual feasible and the dual
-// simplex repairs the handful of bound violations in a few pivots on a basis
-// that never grew. Multi-variable rows, a warm start without frozen state,
-// and a dual iteration that struggles (pivot cap) all take a cold solve, so
-// the answer is always as reliable as Solve's.
+// everything branch and bound generates — become bound tightenings on the
+// node workspace, reset to the frozen optimal state: the reduced costs are
+// untouched (costs and basis are unchanged), so the point stays dual
+// feasible and the dual simplex repairs the handful of bound violations in a
+// few pivots on a basis that never grew. Multi-variable rows, a warm start
+// without frozen state, and a dual iteration that struggles (pivot cap) all
+// take a cold solve, so the answer is always as reliable as Solve's. The
+// answer does not depend on earlier ReSolves, and ReSolve keeps no reference
+// to extra once it returns. ReSolve must not be called concurrently on one
+// WarmStart.
 func (w *WarmStart) ReSolve(extra []ExtraRow) Solution {
 	if len(extra) == 0 {
 		return w.root
@@ -98,7 +111,11 @@ func (w *WarmStart) ReSolve(extra []ExtraRow) Solution {
 		return w.coldExtra(extra)
 	}
 
-	c := w.rev.cloneForReSolve()
+	if w.node == nil {
+		w.node = w.rev.newNode()
+	}
+	c := w.node
+	c.resetFrom(w.rev, &w.nodeF)
 	pr := c.pr
 	for _, ex := range extra {
 		v, coef := ex.Terms[0].Var, ex.Terms[0].Coef

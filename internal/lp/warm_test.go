@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -192,4 +193,287 @@ func TestWarmIsCheaperThanCold(t *testing.T) {
 	if warmPiv*2 >= coldPiv {
 		t.Errorf("warm pivots %d not well below cold %d", warmPiv, coldPiv)
 	}
+}
+
+// reSolveStep is one ReSolve of a re-solve sequence: its rows, and whether it
+// runs with refactorEvery at 1, so that its first basis update refactorizes.
+type reSolveStep struct {
+	rows     []ExtraRow
+	refactor bool
+}
+
+// randomReSolveSequence draws 8 to 12 re-solves of p around its root point x,
+// in random order: bound rows (randomBoundRows); crossed bounds, caught
+// before any pivot; a bound past a variable's box, which the dual simplex
+// proves infeasible; a two-term row, which takes the cold path; and a bound
+// that cuts x off at its largest entry, run with refactorizations forced.
+// Each kind appears at least once.
+func randomReSolveSequence(r *rand.Rand, p *Problem, x []float64) []reSolveStep {
+	const (
+		bounds = iota
+		crossed
+		pastBox
+		twoTerm
+		cutRefactor
+		kinds
+	)
+	seq := []int{bounds, crossed, pastBox, twoTerm, cutRefactor}
+	for n := 8 + r.Intn(5); len(seq) < n; {
+		seq = append(seq, r.Intn(kinds))
+	}
+	r.Shuffle(len(seq), func(a, b int) { seq[a], seq[b] = seq[b], seq[a] })
+	steps := make([]reSolveStep, len(seq))
+	for k, kind := range seq {
+		v := r.Intn(p.NumVars())
+		var rows []ExtraRow
+		switch kind {
+		case bounds:
+			rows, _ = randomBoundRows(r, p, x)
+		case crossed:
+			// −x_v ≤ −(⌈x_v⌉+1) is x_v ≥ ⌈x_v⌉+1: a negative coefficient
+			// flips the row's sense.
+			rows = []ExtraRow{
+				{Terms: []Term{{Var: v, Coef: -1}}, Rel: LE, RHS: -math.Ceil(x[v]) - 1},
+				{Terms: []Term{{Var: v, Coef: 1}}, Rel: LE, RHS: math.Floor(x[v])},
+			}
+		case pastBox:
+			// randomFeasibleLP boxes every variable with a row x_v ≤ 25.
+			rows = []ExtraRow{{Terms: []Term{{Var: v, Coef: 1}}, Rel: GE, RHS: 26 + 4*r.Float64()}}
+		case twoTerm:
+			u := r.Intn(p.NumVars())
+			rows = []ExtraRow{{Terms: []Term{{Var: u, Coef: 1}, {Var: v, Coef: 1 + r.Float64()}}, Rel: LE, RHS: math.Floor(x[u] + x[v])}}
+		case cutRefactor:
+			for j := range x {
+				if x[j] > x[v] {
+					v = j
+				}
+			}
+			rows = []ExtraRow{{Terms: []Term{{Var: v, Coef: 1}}, Rel: LE, RHS: x[v] / 2}}
+		}
+		steps[k] = reSolveStep{rows: rows, refactor: kind == cutRefactor}
+	}
+	return steps
+}
+
+// scribble leaves w's node workspace as a re-solve that went wrong anywhere
+// might: every field a reset restores holds garbage, the Bland, stall, skip
+// and failure state is set, the pivot counters are past any cap, the pivot
+// row's marked entries and the scratch vectors are NaN, and the arena holds
+// an entry no eta owns.
+func scribble(w *WarmStart) {
+	s := w.node
+	if s == nil {
+		return
+	}
+	nan := math.NaN()
+	for _, v := range [][]float64{s.pr.lo, s.pr.hi, s.xB, s.d, s.w, s.y, s.colBuf, s.rhoBuf, s.luBuf} {
+		for i := range v {
+			v[i] = nan
+		}
+	}
+	for i := range s.basis {
+		s.basis[i] = 0
+	}
+	for j := range s.inBase {
+		s.inBase[j] = 0
+	}
+	s.skip = map[int]bool{}
+	for j := range s.status {
+		s.status[j] = atUpper
+		s.skip[j] = true
+	}
+	for k, word := range s.mark {
+		for ; word != 0; word &= word - 1 {
+			s.alpha[k<<6|bits.TrailingZeros64(word)] = nan
+		}
+	}
+	s.pivots, s.refactors, s.updates = 1<<30, 1<<30, 1<<30
+	s.degen, s.bland, s.failed, s.phase1 = 1<<30, true, true, true
+	s.f = nil
+	w.nodeF.etaIdx = append(w.nodeF.etaIdx, 0)
+	w.nodeF.etaVal = append(w.nodeF.etaVal, nan)
+}
+
+// warmPath reports whether ReSolve runs rows in the node workspace.
+func warmPath(w *WarmStart, rows []ExtraRow) bool {
+	for _, ex := range rows {
+		if len(ex.Terms) != 1 || ex.Terms[0].Coef == 0 || ex.Rel == EQ {
+			return false
+		}
+	}
+	return w.rev != nil
+}
+
+// nodeArenaExact reports whether the workspace factor's arena holds exactly
+// the entries of the etas its re-solve appended, none a reset left behind.
+func nodeArenaExact(w *WarmStart) bool {
+	f := &w.nodeF
+	n := 0
+	for _, e := range f.etas[len(w.rev.f.etas):] {
+		n += len(e.idx)
+	}
+	return len(f.etaIdx) == n && len(f.etaVal) == n
+}
+
+// checkReSolveSequence runs steps on one WarmStart of p, scribbling over its
+// node workspace before every re-solve. Each answer must be
+// reflect.DeepEqual to the same rows re-solved on a fresh SolveForWarmStart,
+// the workspace's arena must hold only its own re-solve's etas, and Root and
+// Basis must read as before the sequence. refactored reports whether a
+// warm re-solve refactorized.
+func checkReSolveSequence(t *testing.T, p *Problem, steps []reSolveStep) (ok, refactored bool) {
+	t.Helper()
+	defer func(n int) { refactorEvery = n }(refactorEvery)
+	w, root := p.SolveForWarmStart(Options{})
+	if root.Status != Optimal {
+		return true, false
+	}
+	basis := w.Basis()
+	for k, st := range steps {
+		fresh, _ := p.SolveForWarmStart(Options{})
+		scribble(w)
+		saved := refactorEvery
+		if st.refactor {
+			refactorEvery = 1
+		}
+		got := w.ReSolve(st.rows)
+		want := fresh.ReSolve(st.rows)
+		refactorEvery = saved
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("step %d %+v: reused workspace %+v, fresh %+v", k, st, got, want)
+			return false, refactored
+		}
+		if warmPath(w, st.rows) {
+			if !nodeArenaExact(w) {
+				t.Logf("step %d: arena holds %d entries past its re-solve's etas", k, len(w.nodeF.etaIdx))
+				return false, refactored
+			}
+			// The stall counter counts this re-solve's degenerate steps, and
+			// Bland's rule engages only past 100+m of them.
+			if s := w.node; s.degen > got.Pivots || (s.bland && s.degen <= 100+p.NumConstraints()) {
+				t.Logf("step %d: stall state (%d, %v) after %d pivots", k, s.degen, s.bland, got.Pivots)
+				return false, refactored
+			}
+			refactored = refactored || got.Refactorizations > 0
+		}
+	}
+	if !reflect.DeepEqual(w.Root(), root) || !reflect.DeepEqual(w.Basis(), basis) {
+		t.Logf("root or basis moved: %+v %v, was %+v %v", w.Root(), w.Basis(), root, basis)
+		return false, refactored
+	}
+	return true, refactored
+}
+
+// TestReSolveSequenceMatchesFresh pins the reused node workspace: on each of
+// 250 random LPs, one WarmStart runs a random sequence of feasible,
+// infeasible, cold-path and refactorizing re-solves with its workspace
+// scribbled over before each, and every answer must equal, field for field
+// and bit for bit, the same rows re-solved on a fresh warm start.
+func TestReSolveSequenceMatchesFresh(t *testing.T) {
+	lps, refactored := 0, 0
+	for seed := int64(0); seed < 250; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		p, _ := randomFeasibleLP(r)
+		root := p.Solve()
+		if root.Status != Optimal {
+			continue
+		}
+		ok, ref := checkReSolveSequence(t, p, randomReSolveSequence(r, p, root.X))
+		if !ok {
+			t.Fatalf("seed %d: a re-solve on the reused workspace broke the contract logged above", seed)
+		}
+		lps++
+		if ref {
+			refactored++
+		}
+	}
+	t.Logf("%d LPs, %d with a refactorizing re-solve", lps, refactored)
+	if lps < 200 || refactored < lps/2 {
+		t.Fatalf("%d LPs, %d with a refactorizing re-solve; want ≥ 200 and ≥ half", lps, refactored)
+	}
+}
+
+// TestReSolveAllocatesOnlyItsAnswer pins that a warm ReSolve that pivots
+// allocates only its answer's X once the workspace exists.
+func TestReSolveAllocatesOnlyItsAnswer(t *testing.T) {
+	tested := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		p, _ := randomFeasibleLP(r)
+		w, root := p.SolveForWarmStart(Options{})
+		if root.Status != Optimal {
+			continue
+		}
+		v := 0
+		for j := range root.X {
+			if root.X[j] > root.X[v] {
+				v = j
+			}
+		}
+		row := []ExtraRow{{Terms: []Term{{Var: v, Coef: 1}}, Rel: LE, RHS: root.X[v] / 2}}
+		sol := w.ReSolve(row) // allocates the workspace
+		if sol.Status != Optimal || sol.Pivots == 0 || sol.Refactorizations != 0 {
+			continue
+		}
+		if a := testing.AllocsPerRun(100, func() { w.ReSolve(row) }); a > 1 {
+			t.Errorf("seed %d: a warm ReSolve allocates %v times, want ≤ 1", seed, a)
+		}
+		tested++
+	}
+	if tested == 0 {
+		t.Fatal("no warm re-solve that pivots")
+	}
+}
+
+// byteSource is a rand.Source that reads its numbers from fuzz bytes, eight
+// to a number, so a fuzzer steers every choice of a generator that draws
+// from it. Once the bytes run out it continues with a fixed splitmix64
+// sequence: a source stuck at one value would never end the rejection loops
+// of rand.Rand's bounded draws.
+type byteSource struct {
+	b    []byte
+	tail uint64
+}
+
+func (s *byteSource) Int63() int64 {
+	if len(s.b) == 0 {
+		s.tail += 0x9e3779b97f4a7c15
+		z := s.tail
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return int64((z ^ z>>31) >> 1)
+	}
+	var v uint64
+	for k := 0; k < 8; k++ {
+		v <<= 8
+		if len(s.b) > 0 {
+			v |= uint64(s.b[0])
+			s.b = s.b[1:]
+		}
+	}
+	return int64(v >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzReSolveSequence is TestReSolveSequenceMatchesFresh with its generators
+// (randomFeasibleLP, randomReSolveSequence) drawing from fuzz bytes.
+func FuzzReSolveSequence(f *testing.F) {
+	for seed := int64(1); seed <= 3; seed++ {
+		b := make([]byte, 64)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := rand.New(&byteSource{b: data})
+		p, _ := randomFeasibleLP(r)
+		root := p.Solve()
+		if root.Status != Optimal {
+			return
+		}
+		if ok, _ := checkReSolveSequence(t, p, randomReSolveSequence(r, p, root.X)); !ok {
+			t.Fatal("a re-solve on the reused workspace broke the contract logged above")
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"billcap/internal/lp"
@@ -305,9 +306,11 @@ func (p *Problem) search(opt Options, start time.Time, warm *lp.WarmStart, root 
 		incumbents   int           // incumbent improvements (exposed for observability)
 		nodes        = 1
 		h            nodeHeap
+		rows         []lp.ExtraRow // every relaxation's branch rows, reused
 	)
 	relax := func(bs []branch) lp.Solution {
-		return warm.ReSolve(branchRows(bs))
+		rows = branchRows(rows, bs)
+		return warm.ReSolve(rows)
 	}
 
 	process := func(bs []branch, sol lp.Solution) {
@@ -499,15 +502,17 @@ func (p *Problem) repairIncumbent(bs []branch, sol lp.Solution, relax func([]bra
 	return rx, p.Problem.Eval(rx), eff, true
 }
 
-// branchRows converts accumulated branching bounds into warm-start rows.
-func branchRows(bs []branch) []lp.ExtraRow {
-	rows := make([]lp.ExtraRow, len(bs))
+// branchRows writes accumulated branching bounds into rows as warm-start
+// rows and returns it, reusing its backing arrays and each row's one-term
+// slice: ReSolve keeps no row once it returns.
+func branchRows(rows []lp.ExtraRow, bs []branch) []lp.ExtraRow {
+	rows = slices.Grow(rows[:0], len(bs))[:len(bs)]
 	for i, b := range bs {
-		rows[i] = lp.ExtraRow{
-			Terms: []lp.Term{{Var: b.v, Coef: 1}},
-			Rel:   b.rel,
-			RHS:   b.value,
+		if len(rows[i].Terms) == 0 {
+			rows[i].Terms = make([]lp.Term, 1)
 		}
+		rows[i].Terms[0] = lp.Term{Var: b.v, Coef: 1}
+		rows[i].Rel, rows[i].RHS = b.rel, b.value
 	}
 	return rows
 }

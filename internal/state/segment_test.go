@@ -633,3 +633,125 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
+
+// capperdDir journals 31 hours without a ledger, as capperd does: each
+// record carries its hour's battery charge [h], a snapshot at hour 24 cuts
+// the log, and a final snapshot at hour 31 carries a charge no record
+// does, [999], as a checkpoint taken after a state change with no record
+// of its own would.
+func capperdDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, _, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 31; h++ {
+		if h == 24 {
+			if err := s.WriteSnapshot(Checkpoint{Hour: 24, BatterySoCMWh: []float64{23}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Append(Entry{Hour: h, BatterySoCMWh: []float64{float64(h)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteSnapshot(Checkpoint{Hour: 31, BatterySoCMWh: []float64{999}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("segments %v, want [2 3]: hours 24–30 in 2, the final cut at 3", got)
+	}
+	return dir
+}
+
+// TestRestoreReplaysOnlyPastTheCut: without a ledger, the records of the
+// segments before the restored snapshot's cut are covered by it and do not
+// replay; before, hours 24–30 replayed over the final snapshot.
+func TestRestoreReplaysOnlyPastTheCut(t *testing.T) {
+	_, info := reopen(t, capperdDir(t))
+	if info.WALEntriesReplayed != 0 {
+		t.Errorf("replayed %d entries over the final snapshot, want 0", info.WALEntriesReplayed)
+	}
+}
+
+// TestRestoreKeepsSnapshotState: the restored state is the final
+// snapshot's, not the last record's written before it; before, hour 30's
+// charge [30] overwrote the snapshot's [999].
+func TestRestoreKeepsSnapshotState(t *testing.T) {
+	cp, _ := reopen(t, capperdDir(t))
+	if cp == nil || cp.Hour != 31 || !slices.Equal(cp.BatterySoCMWh, []float64{999}) {
+		t.Errorf("restored %+v, want hour 31 with charge [999]", cp)
+	}
+}
+
+// TestRestoreWithoutCutFoldsEveryRecord: a snapshot that states no cut (as
+// written before snapshots recorded one) covers no segment for sure, so
+// every record still replays over it.
+func TestRestoreWithoutCutFoldsEveryRecord(t *testing.T) {
+	dir := capperdDir(t)
+	dropCuts(t, dir)
+	cp, info := reopen(t, dir)
+	if info.WALEntriesReplayed != 7 || !slices.Equal(cp.BatterySoCMWh, []float64{30}) {
+		t.Errorf("replayed %d, charge %v; want all 7 records folded, ending at [30]", info.WALEntriesReplayed, cp.BatterySoCMWh)
+	}
+}
+
+// TestTearForgetsCutAcrossRestarts: a tear deletes the segment a kept
+// snapshot's cut began and appends continue before it; a restart before the
+// next checkpoint must not hand that segment's number to a new cut, or a
+// restore that falls back to the kept snapshot would take its cut as still
+// valid and drop the records written after it.
+func TestTearForgetsCutAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	j := newJournal(t, dir)
+	j.record(3)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	j.record(3)
+	j.s.Close()
+	data, err := os.ReadFile(filepath.Join(dir, segName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	torn := append(bytes.Join(lines[:2], nil), `{"crc":1,"v":{}}`+"\n"...)
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cp *Checkpoint
+	for restart := 0; restart < 2; restart++ {
+		if j.s, cp, _, err = Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		if j.ledger, err = budget.Restore(*cp.Budget); err != nil {
+			t.Fatal(err)
+		}
+		j.hour = cp.Hour
+		if restart == 0 {
+			j.record(2) // into segment 2, before the kept snapshot's cut at 3
+			j.s.Close()
+		}
+	}
+	j.record(1)
+	if err := j.s.WriteSnapshot(j.checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if got := segNumbers(t, dir); !slices.Equal(got, []int{2, 4}) {
+		t.Errorf("segments %v, want [2 4]: the torn-away segment 3 is named by a kept snapshot", got)
+	}
+	want := marshal(t, j.checkpoint())
+	j.s.Close()
+	names := snapshotNames(dir)
+	if err := os.WriteFile(filepath.Join(dir, names[len(names)-1]), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, info := reopen(t, dir)
+	if !bytes.Equal(marshal(t, cp), want) || info.SnapshotFallbacks != 1 {
+		t.Errorf("restored %s (%+v), want %s", marshal(t, cp), info, want)
+	}
+}

@@ -186,18 +186,36 @@ func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 		return nil, nil, info, err
 	}
 
-	cp, cuts, fallbacks := loadSnapshots(dir)
+	cp, cut, cuts, fallbacks := loadSnapshots(dir)
 	info.SnapshotFallbacks = fallbacks
 	segs, err := segments(dir)
 	if err != nil {
 		return nil, nil, info, err
 	}
-	entries, open, corruptions, err := loadWAL(dir, segs)
+	bySeg, open, corruptions, err := loadWAL(dir, segs)
 	if err != nil {
 		return nil, nil, info, err
 	}
 	info.WALCorruptions = corruptions
 
+	// The restored snapshot covers every record in the segments before its
+	// cut, so only the segments from its cut on replay over it. That holds
+	// while the segment its cut began is still there: a tear that deleted
+	// it, at this Open or an earlier one, let appends continue in an older
+	// segment, after the snapshot. A snapshot with no cut covers no segment
+	// for sure, and every record replays.
+	from := 0
+	for _, sg := range segs[:len(bySeg)] {
+		if sg.n == cut {
+			from = cut
+		}
+	}
+	var entries []Entry
+	for k, got := range bySeg {
+		if segs[k].n >= from {
+			entries = append(entries, got...)
+		}
+	}
 	cp, replayed, err := Replay(cp, entries)
 	if err != nil {
 		return nil, nil, info, err
@@ -214,6 +232,12 @@ func Open(dir string) (*Store, *Checkpoint, RestoreInfo, error) {
 	name, openN := segName(1), 1
 	if len(segs) > 0 {
 		s.top, name, openN = segs[len(segs)-1].n, segs[open].name, segs[open].n
+	}
+	// A cut never reuses the number of a segment a tear deleted while a
+	// snapshot still names it: the replay rule above would take the new
+	// segment for the one that snapshot's cut began.
+	for _, seg := range cuts {
+		s.top = max(s.top, seg)
 	}
 	// A tear (or a lost segment) can leave appends continuing in a segment
 	// older than a snapshot's cut; that cut no longer covers what precedes it.
@@ -442,11 +466,12 @@ func snapshotNames(dir string) []string {
 	return names
 }
 
-// loadSnapshots returns the newest snapshot that parses and verifies,
-// counting how many corrupt generations were skipped on the way, and the
-// cut each verified snapshot states.
-func loadSnapshots(dir string) (*Checkpoint, map[string]int, int) {
+// loadSnapshots returns the newest snapshot that parses and verifies and
+// the cut it states (0 for none), the cut each verified snapshot states, and
+// how many corrupt generations were skipped on the way to the newest.
+func loadSnapshots(dir string) (*Checkpoint, int, map[string]int, int) {
 	var newest *Checkpoint
+	cut := 0
 	cuts := map[string]int{}
 	fallbacks := 0
 	names := snapshotNames(dir)
@@ -467,26 +492,27 @@ func loadSnapshots(dir string) (*Checkpoint, map[string]int, int) {
 			cuts[names[i]] = seg
 		}
 		if newest == nil {
-			newest = &cp
+			newest, cut = &cp, seg
 		}
 	}
-	return newest, cuts, fallbacks
+	return newest, cut, cuts, fallbacks
 }
 
-// loadWAL reads the segments in order and returns their valid records, the
-// index of the segment appends continue in and the corruptions counted. At
-// the first torn or corrupt record it deletes every later segment, newest
-// first, then truncates that one where the tear begins: records past a tear
-// are unordered garbage by WAL semantics.
-func loadWAL(dir string, segs []segment) ([]Entry, int, int, error) {
-	var entries []Entry
+// loadWAL reads the segments in order and returns their valid records, one
+// slice per segment up to the one appends continue in, that segment's index
+// and the corruptions counted. At the first torn or corrupt record it
+// deletes every later segment, newest first, then truncates that one where
+// the tear begins: records past a tear are unordered garbage by WAL
+// semantics.
+func loadWAL(dir string, segs []segment) ([][]Entry, int, int, error) {
+	var entries [][]Entry
 	for k, sg := range segs {
 		path := filepath.Join(dir, sg.name)
 		got, good, torn, err := readSegment(path)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		entries = append(entries, got...)
+		entries = append(entries, got)
 		if !torn {
 			continue
 		}
@@ -536,10 +562,13 @@ func readSegment(path string) (entries []Entry, good int64, torn bool, err error
 }
 
 // Replay folds WAL entries on top of a snapshot and returns the resulting
-// checkpoint plus how many entries were applied. Entries older than the
-// snapshot are skipped (they were superseded by it); a gap beyond the next
-// expected hour is an error — it means a durably-recorded hour went missing,
-// which must fail loudly rather than silently skip budget accounting.
+// checkpoint plus how many entries were applied. With a budget ledger,
+// entries older than the snapshot are skipped (they were superseded by it);
+// a gap beyond the next expected hour is an error — it means a
+// durably-recorded hour went missing, which must fail loudly rather than
+// silently skip budget accounting. Without one every entry folds, so the
+// caller passes only the entries the snapshot does not cover: Open passes
+// the segments from the snapshot's cut on.
 func Replay(cp *Checkpoint, entries []Entry) (*Checkpoint, int, error) {
 	if cp == nil && len(entries) == 0 {
 		return nil, 0, nil
