@@ -418,6 +418,10 @@ type DecideResponse struct {
 	SolverDecompIterations int     `json:"solverDecompIterations,omitempty"`
 	SolverDecompGap        float64 `json:"solverDecompGap,omitempty"`
 	SolverDecompDualBound  float64 `json:"solverDecompDualBound,omitempty"`
+	// SolverCutoffs is 1 when step 1 stopped once a bound proved the hour
+	// over budget, so step 2 answered without step 1's search; omitted
+	// otherwise.
+	SolverCutoffs int `json:"solverCutoffs,omitempty"`
 }
 
 // hourInputFrom maps the wire request onto the controller's input; a
@@ -469,6 +473,7 @@ func (s *Server) decideResponseFrom(dec core.Decision) DecideResponse {
 		SolverDecompIterations: dec.Solver.DecompIterations,
 		SolverDecompGap:        dec.Solver.DecompGap,
 		SolverDecompDualBound:  dec.Solver.DecompDualBound,
+		SolverCutoffs:          dec.Solver.Cutoffs,
 	}
 	if dec.Degraded != core.DegradeNone {
 		resp.Degraded = dec.Degraded.String()

@@ -80,6 +80,19 @@ func zeroWallTime(ls *core.ResilientState) {
 	}
 }
 
+// solverEffortKeys are the answer keys that count the search's work and
+// move when the search takes another path to the same answer.
+var solverEffortKeys = []string{"solverNodes", "solverPivots", "solverIncumbents", "solverLPBasisUpdates", "solverCutoffs"}
+
+// zeroSolverEffort clears the ladder state's counterparts of
+// solverEffortKeys.
+func zeroSolverEffort(ls *core.ResilientState) {
+	if ls != nil && ls.LastGood != nil {
+		st := &ls.LastGood.Solver
+		st.Nodes, st.LPIterations, st.Incumbents, st.LPBasisUpdates, st.Cutoffs = 0, 0, 0, 0, 0
+	}
+}
+
 // TestDaemonGolden pins the daemon's committed hour bit for bit: 72 seeded
 // resilient hours (some capped, some with a site down) on a server with a
 // demand charge, batteries and a state directory. The digest covers every
@@ -157,7 +170,7 @@ func TestDaemonGolden(t *testing.T) {
 	if err := s.CloseState(); err != nil {
 		t.Fatal(err)
 	}
-	entries, segs, newest := digestStateDir(t, digest, dir)
+	entries, segs, newest := digestStateDir(t, digest, dir, nil)
 
 	t.Logf("steps %v, newest checkpoint %s, %d WAL entries in %d segments", steps, newest, entries, segs)
 	if got := digest.Sum64(); got != want {
@@ -168,8 +181,9 @@ func TestDaemonGolden(t *testing.T) {
 // digestStateDir feeds digest what a closed state directory holds: the
 // entries of every WAL segment in order and then the newest checkpoint's
 // file name and payload, each re-marshaled with its solver wall time
-// zeroed. It returns the entry and segment counts and the newest name.
-func digestStateDir(t *testing.T, digest hash.Hash64, dir string) (entries, segments int, newest string) {
+// zeroed and, when scrub is not nil, scrubbed by it. It returns the entry
+// and segment counts and the newest name.
+func digestStateDir(t *testing.T, digest hash.Hash64, dir string, scrub func(*core.ResilientState)) (entries, segments int, newest string) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
@@ -183,6 +197,9 @@ func digestStateDir(t *testing.T, digest hash.Hash64, dir string) (entries, segm
 				t.Fatal(err)
 			}
 			zeroWallTime(e.Resilient)
+			if scrub != nil {
+				scrub(e.Resilient)
+			}
 			body, err := json.Marshal(e)
 			if err != nil {
 				t.Fatal(err)
@@ -212,6 +229,9 @@ func digestStateDir(t *testing.T, digest hash.Hash64, dir string) (entries, segm
 		t.Fatal(err)
 	}
 	zeroWallTime(cp.Resilient)
+	if scrub != nil {
+		scrub(cp.Resilient)
+	}
 	body, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -226,11 +246,18 @@ func digestStateDir(t *testing.T, digest hash.Hash64, dir string) (entries, segm
 // covers every answer without its solverWallMS and what the directory holds
 // after CloseState (see digestStateDir). The ladder carries each solve
 // kind's root basis from hour to hour, so the answers' pivot and warm-start
-// counts are pinned too. It was recorded when the carried bases lived in a
-// solve cache inside the System, switched on by an option, before the
-// ladder carried them itself.
+// counts are pinned too. A second digest leaves out the search's effort
+// counters (solverEffortKeys) and pins everything else.
+//
+// The effort digest was recorded when step 1 first stopped at its budget
+// cutoff, which moved only the effort counters of the 13 over-budget hours.
+// The stripped digest was recorded before that change, so it shows the
+// cutoff moved no answer, no warm-start count and no other durable byte.
 func TestPlainDaemonGolden(t *testing.T) {
-	const want = uint64(0x4d07d3731c1ff6c7)
+	const (
+		want         = uint64(0xa6d7cc05a1657c64)
+		wantStripped = uint64(0x8d57612a12b7f8c2)
+	)
 	const n = 13
 	dir := t.TempDir()
 	s, err := New(dcmodel.SyntheticSites(n), pricing.Synthetic(n), core.Options{})
@@ -248,7 +275,7 @@ func TestPlainDaemonGolden(t *testing.T) {
 	}()
 	h := s.Handler()
 
-	digest := fnv.New64a()
+	digest, stripped := fnv.New64a(), fnv.New64a()
 	rng := rand.New(rand.NewSource(25))
 	steps := map[string]int{}
 	var solver core.SolverStats
@@ -288,20 +315,31 @@ func TestPlainDaemonGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		digest.Write(body)
+		for _, k := range solverEffortKeys {
+			delete(answer, k)
+		}
+		if body, err = json.Marshal(answer); err != nil {
+			t.Fatal(err)
+		}
+		stripped.Write(body)
 	}
 
 	closed = true
 	if err := s.CloseState(); err != nil {
 		t.Fatal(err)
 	}
-	entries, segs, newest := digestStateDir(t, digest, dir)
+	entries, segs, newest := digestStateDir(t, digest, dir, nil)
+	digestStateDir(t, stripped, dir, zeroSolverEffort)
 
-	t.Logf("steps %v, newest checkpoint %s, %d WAL entries in %d segments, %d of %d roots warm",
-		steps, newest, entries, segs, solver.WarmStarts, solver.Solves)
+	t.Logf("steps %v, newest checkpoint %s, %d WAL entries in %d segments, %d of %d roots warm, %d step-1 cutoffs",
+		steps, newest, entries, segs, solver.WarmStarts, solver.Solves, solver.Cutoffs)
 	if solver.WarmStarts*10 < solver.Solves*9 {
 		t.Errorf("%d of %d root LPs finished from a carried basis, want at least 90%%", solver.WarmStarts, solver.Solves)
 	}
 	if got := digest.Sum64(); got != want {
 		t.Errorf("plain daemon digest %#x, want %#x", got, want)
+	}
+	if got := stripped.Sum64(); got != wantStripped {
+		t.Errorf("plain daemon digest without solver effort %#x, want %#x", got, wantStripped)
 	}
 }

@@ -61,6 +61,46 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestDecideReportsBudgetCutoff: an hour whose step 1 stopped at its bound
+// says so in its answer ("solverCutoffs") and on /metrics
+// (billcap_decide_budget_cutoffs_total); an hour within budget carries no
+// solverCutoffs key.
+func TestDecideReportsBudgetCutoff(t *testing.T) {
+	ts := newTestServer(t)
+	decide := func(budget *float64) map[string]any {
+		var answer map[string]any
+		resp := postJSON(t, ts.URL+"/v1/decide", DecideRequest{
+			TotalLambda:   1.5e12,
+			PremiumLambda: 1.2e12,
+			DemandMW:      []float64{170, 190, 150},
+			BudgetUSD:     budget,
+		}, &answer)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("decide status %d", resp.StatusCode)
+		}
+		return answer
+	}
+	if answer := decide(nil); answer["solverCutoffs"] != nil {
+		t.Errorf("uncapped hour reports solverCutoffs %v", answer["solverCutoffs"])
+	}
+	one := 1.0
+	if answer := decide(&one); answer["solverCutoffs"] != 1.0 || answer["step"] != "premium-only" {
+		t.Errorf("$1 hour: step %v, solverCutoffs %v, want premium-only and 1", answer["step"], answer["solverCutoffs"])
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	body, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line := findLine(string(body), "billcap_decide_budget_cutoffs_total "); line != "billcap_decide_budget_cutoffs_total 1" {
+		t.Errorf("metrics line %q, want billcap_decide_budget_cutoffs_total 1", line)
+	}
+}
+
 func findLine(out, prefix string) string {
 	for _, ln := range strings.Split(out, "\n") {
 		if strings.HasPrefix(ln, prefix) {

@@ -47,10 +47,12 @@ func warmOptions(so milp.Options, kind solveKind, in HourInput) milp.Options {
 	return so
 }
 
-// carried returns the bases the hour hands on after solving kind.
+// carried returns the bases the hour hands on after solving kind. A solve
+// stopped at its cutoff solved its root as an optimal one does, so it hands
+// on the same basis.
 func carried(in HourInput, kind solveKind, sol milp.Solution) RootBases {
 	warm := in.Warm
-	if sol.Status == milp.Optimal && !in.hasTariffExtras() {
+	if (sol.Status == milp.Optimal || sol.Status == milp.Cutoff) && !in.hasTariffExtras() {
 		warm[kind] = sol.RootBasis
 	}
 	return warm

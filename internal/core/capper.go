@@ -13,6 +13,41 @@ import (
 // against the hourly budget.
 const budgetSlack = 1e-6
 
+// budgetThreshold is the most a plan may cost and still fit the budget.
+func budgetThreshold(budgetUSD float64) float64 {
+	return budgetUSD*(1+budgetSlack) + budgetSlack
+}
+
+// cutoffMargin is how far step 1's cutoff sits above the budget threshold,
+// relative to it. Over 800 seeded 3- and 13-site hours no root bound
+// exceeded the predicted cost of its search's answer by more than 1.3e-15
+// relative; the margin leaves room for the LP's 1e-7 feasibility tolerance
+// besides, and is small enough that few over-budget hours fall between
+// threshold and cutoff and solve in full.
+const cutoffMargin = 1e-5
+
+// stepOneOptions gives step 1 its cutoff. Step 1 is solved only to learn
+// whether the hour's minimum cost fits the budget (paper §V); a solve whose
+// lower bound already exceeds the budget threshold by cutoffMargin can stop,
+// because the answer it would have found is one step 2 replaces. The cutoff
+// is set only where stopping moves no answer:
+//   - on energy-only hours, where the step-1 objective is the predicted cost
+//     itself (no battery value terms, no settlement constant), so its bound
+//     bounds PredictedCostUSD;
+//   - on fleets without multi-class sites, where a feasible root LP implies
+//     a feasible all-on plan, so a stop never turns an over-capacity hour
+//     into a budget-capped one (the decomposition stops only once it holds
+//     a feasible plan anyway).
+//
+// The stopped solve still solved its root LP, so it hands on the root basis
+// the full one would have (carried).
+func (s *System) stepOneOptions(so milp.Options, in HourInput) milp.Options {
+	if !math.IsInf(in.BudgetUSD, 1) && !in.hasTariffExtras() && !s.multiClass {
+		so.Cutoff = budgetThreshold(in.BudgetUSD) * (1 + cutoffMargin)
+	}
+	return so
+}
+
 // DecideHour runs the full two-step bill capping algorithm (paper §III):
 //
 //  1. Minimize cost for the whole workload. If the minimum fits the hourly
@@ -99,24 +134,25 @@ func (s *System) decideSteps(in HourInput, so milp.Options) (Decision, error) {
 		minCost, maxThroughput = s.decompMinCost, s.decompMaxThroughput
 	}
 
-	// Step 1: minimize cost for everything.
-	d1, err := minCost(in, in.TotalLambda, &stats, so, kindMinCostTotal)
+	// Step 1: minimize cost for everything, stopping early once a bound
+	// proves the minimum over budget (stepOneOptions).
+	d1, err := minCost(in, in.TotalLambda, &stats, s.stepOneOptions(so, in), kindMinCostTotal)
 	switch {
-	case err == nil:
-		if d1.PredictedCostUSD <= in.BudgetUSD*(1+budgetSlack)+budgetSlack {
-			d1.Step = StepCostMin
-			d1.ServedPremium = math.Min(in.PremiumLambda, d1.Served)
-			d1.ServedOrdinary = d1.Served - d1.ServedPremium
-			d1.Solver = stats
-			return d1, nil
-		}
+	case err == nil && d1.PredictedCostUSD <= budgetThreshold(in.BudgetUSD):
+		d1.Step = StepCostMin
+		d1.ServedPremium = math.Min(in.PremiumLambda, d1.Served)
+		d1.ServedOrdinary = d1.Served - d1.ServedPremium
+		d1.Solver = stats
+		return d1, nil
+	case err == nil, errors.Is(err, errOverBudget):
+		// Over budget; step 2 starts from step 1's root basis.
 		in.Warm = d1.Warm
 	case errors.Is(err, ErrInfeasible):
 		// Over capacity; fall through to throughput maximization.
 	default:
 		return Decision{}, err
 	}
-	overCapacity := err != nil
+	overCapacity := errors.Is(err, ErrInfeasible)
 
 	// Step 2: maximize throughput within the budget.
 	d2, err := maxThroughput(in, &stats, so, kindMaxThroughput)

@@ -30,7 +30,8 @@ func (o Options) decomposeThreshold() int {
 }
 
 // decompOptions maps the per-solve MILP options onto the decomposition
-// loop: deadline and cancellation carry over.
+// loop: deadline and cancellation carry over. A cutoff travels in the
+// instance instead (decompMinCost).
 func (s *System) decompOptions(so milp.Options) decomp.Options {
 	return decomp.Options{
 		Deadline: so.Deadline,
@@ -177,6 +178,9 @@ func (s *System) decompMinCost(in HourInput, lambda float64, stats *SolverStats,
 		TargetLoad: lambda,
 		BudgetUSD:  math.Inf(1),
 	}
+	if so.Cutoff != 0 {
+		inst.BudgetUSD = so.Cutoff
+	}
 	res, err := decomp.Solve(inst, s.decompOptions(so))
 	if err != nil {
 		return Decision{}, err
@@ -184,8 +188,11 @@ func (s *System) decompMinCost(in HourInput, lambda float64, stats *SolverStats,
 	if stats != nil {
 		stats.addDecomp(res)
 	}
-	if res.Status == decomp.Infeasible {
+	switch res.Status {
+	case decomp.Infeasible:
 		return Decision{}, fmt.Errorf("%w: %v req/h over %d sites", ErrInfeasible, lambda, len(sites))
+	case decomp.OverBudget:
+		return Decision{Warm: in.Warm}, errOverBudget
 	}
 	d := s.decisionFromDecomp(res, in)
 	if stats != nil {

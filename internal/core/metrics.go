@@ -18,6 +18,7 @@ type Metrics struct {
 	decideStep     *obs.CounterVec
 	decideDegraded *obs.CounterVec
 	decideSeconds  *obs.Histogram
+	budgetCutoffs  *obs.Counter
 
 	fallbackUsed    *obs.Counter
 	solverTimeouts  *obs.Counter
@@ -58,6 +59,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Decisions by degradation-ladder rung (none = proven optimal).", "rung"),
 		decideSeconds: reg.Histogram("billcap_decide_seconds",
 			"End-to-end DecideHour latency in seconds.", obs.DefBuckets),
+		budgetCutoffs: reg.Counter("billcap_decide_budget_cutoffs_total",
+			"Decisions whose step 1 stopped once a bound proved the hour over budget."),
 
 		fallbackUsed: reg.Counter("billcap_fallback_used_total",
 			"Decisions produced by the greedy fallback dispatcher after MILP failure."),
@@ -153,6 +156,7 @@ func (m *Metrics) observe(s *System, dec Decision, err error, elapsed time.Durat
 	}
 	m.decideStep.With(dec.Step.String()).Inc()
 	m.decideDegraded.With(dec.Degraded.String()).Inc()
+	m.budgetCutoffs.Add(float64(dec.Solver.Cutoffs))
 	m.solverTimeouts.Add(float64(dec.Solver.Timeouts))
 	m.milpSolves.Add(float64(dec.Solver.Solves))
 	m.milpNodes.Add(float64(dec.Solver.Nodes))

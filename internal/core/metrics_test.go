@@ -63,6 +63,8 @@ func TestDecideHourMetrics(t *testing.T) {
 		`billcap_decide_step_total{step="budget-capped"} 0`, // pre-registered at zero
 		"billcap_decide_budget_binding 1",
 		"billcap_decide_sites_on",
+		// The $1 hour's root bound proved it over budget.
+		"billcap_decide_budget_cutoffs_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

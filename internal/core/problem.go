@@ -19,6 +19,11 @@ import (
 // caps).
 var ErrInfeasible = errors.New("core: no feasible allocation")
 
+// errOverBudget reports that a step-1 solve stopped at its cutoff: a bound
+// proved the hour's minimum cost over budget (see stepOneOptions). The
+// decision it comes with carries only the bases to hand on.
+var errOverBudget = errors.New("core: step-1 bound over budget")
+
 // SolverStats aggregates branch-and-bound effort across the MILP solves of
 // one decision.
 type SolverStats struct {
@@ -43,6 +48,11 @@ type SolverStats struct {
 	// when zero, so the ladder state journaled by an hour that started cold
 	// (a tariff hour, the first after a restart) keeps its bytes.
 	WarmStarts int `json:",omitempty"`
+	// Cutoffs counts step-1 solves that stopped at their budget cutoff: a
+	// bound proved the hour over budget, so the search (or decomposition
+	// loop) ended before its answer, which step 2 would have replaced.
+	// Omitted from JSON when zero, like WarmStarts.
+	Cutoffs int `json:",omitempty"`
 	// DecompSolves counts hour solves routed to the dual-decomposition path
 	// (Options.Decompose above the fleet-size threshold); all stay 0 on the
 	// exact MILP path.
@@ -51,7 +61,8 @@ type SolverStats struct {
 	// decision's decomposition solves.
 	DecompIterations int
 	// DecompGap is the worst relative primal–dual gap any decomposition
-	// solve of the decision proved (0 = every solve closed its gap).
+	// solve of the decision proved (0 = every solve closed its gap), a
+	// solve stopped at its cutoff aside.
 	DecompGap float64
 	// DecompDualBound is the latest decomposition solve's Lagrangian bound:
 	// a lower bound on cost for min-cost solves, an upper bound on the
@@ -70,18 +81,26 @@ func (st *SolverStats) add(sol milp.Solution) {
 	if sol.RootWarm {
 		st.WarmStarts++
 	}
-	if sol.Status == milp.TimeLimit {
+	switch sol.Status {
+	case milp.TimeLimit:
 		st.Timeouts++
+	case milp.Cutoff:
+		st.Cutoffs++
 	}
 }
 
 // addDecomp folds one dual-decomposition solve into the stats. The polish
-// LPs' pivots count toward LPIterations like any other relaxation work.
+// LPs' pivots count toward LPIterations like any other relaxation work. A
+// solve stopped at its cutoff adds no gap: no answer of it is used.
 func (st *SolverStats) addDecomp(r decomp.Result) {
 	st.DecompSolves++
 	st.DecompIterations += r.Iterations
 	st.LPIterations += r.LPPivots
 	st.WallTime += r.Elapsed
+	if r.Status == decomp.OverBudget {
+		st.Cutoffs++
+		return
+	}
 	if !math.IsInf(r.Gap, 1) && r.Gap > st.DecompGap {
 		st.DecompGap = r.Gap
 	}
@@ -100,6 +119,7 @@ func (st *SolverStats) Accumulate(o SolverStats) {
 	st.LPRefactorizations += o.LPRefactorizations
 	st.LPBasisUpdates += o.LPBasisUpdates
 	st.WarmStarts += o.WarmStarts
+	st.Cutoffs += o.Cutoffs
 	st.DecompSolves += o.DecompSolves
 	st.DecompIterations += o.DecompIterations
 	if o.DecompGap > st.DecompGap {
@@ -512,6 +532,9 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 	}
 	switch sol.Status {
 	case milp.Optimal:
+	case milp.Cutoff:
+		// The root bound proved the hour over budget (stepOneOptions).
+		return Decision{Warm: carried(in, kind, sol)}, errOverBudget
 	case milp.TimeLimit:
 		if len(sol.X) == 0 {
 			return Decision{}, fmt.Errorf("core: cost minimization timed out with no incumbent")
@@ -576,8 +599,9 @@ func (s *System) buildMinCost(in HourInput, lambda, scale float64) (*milp.Proble
 
 // MaximizeThroughput solves step 2 (paper eq. 8–9): admit as many requests
 // as possible (up to the hour's arrivals) while keeping predicted cost within
-// the budget. Ties in throughput break toward cheaper allocations via a tiny
-// cost penalty.
+// the budget. A cost penalty of ε per dollar against each scaled unit of
+// load breaks ties toward cheaper allocations, and may give up to
+// ε·scale req/h of throughput for each dollar it saves (see epsilon).
 func (s *System) MaximizeThroughput(in HourInput, stats *SolverStats) (Decision, error) {
 	return s.maximizeThroughput(in, stats, s.solveOptions(), kindMaxThroughput)
 }

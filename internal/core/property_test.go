@@ -177,3 +177,63 @@ func TestLightHourServesLoad(t *testing.T) {
 		t.Fatal("load served with every site off")
 	}
 }
+
+// TestHigherBudgetNeverServesLess is the paper's Fig. 10 property hour by
+// hour: on 40 seeded 3-site hours, sweeping the budget from 0 to past the
+// hour's minimum cost never serves less at a higher budget, whichever
+// branch answers and whether or not step 1 stops at its cutoff (the sweep
+// crosses it on every hour). Two allowances, each exact, cover what the
+// algorithm trades by definition, and 1e-9·λ covers the LP's rounding:
+//   - step 2 maximizes Σx − ε·cost with x in scaled load units, so of two
+//     plans it may pick one serving up to ε·scale·Δcost req/h less that
+//     costs Δcost dollars less (see epsilon);
+//   - a step-2 plan within budgetSlack·λ of the premium load counts as
+//     serving premium, so leaving the premium-only branch may cost that much.
+func TestHigherBudgetNeverServesLess(t *testing.T) {
+	s := paperSystem(t, Options{})
+	capacity := s.MaxThroughput()
+	r := rand.New(rand.NewSource(10))
+	traded, cutoffs := 0, 0
+	for h := 0; h < 40; h++ {
+		lam := (0.2 + 0.75*r.Float64()) * capacity
+		in := HourInput{
+			Hour:          h,
+			TotalLambda:   lam,
+			PremiumLambda: (0.2 + 0.6*r.Float64()) * lam,
+			DemandMW:      []float64{90 + 200*r.Float64(), 95 + 200*r.Float64(), 80 + 200*r.Float64()},
+			BudgetUSD:     math.Inf(1),
+		}
+		uncapped, err := s.DecideHour(in)
+		if err != nil || uncapped.Step != StepCostMin {
+			t.Fatalf("hour %d uncapped: step %v, err %v", h, uncapped.Step, err)
+		}
+		scale := lambdaScale(lam)
+		var prev Decision
+		for k := 0; k <= 30; k++ {
+			in.BudgetUSD = uncapped.PredictedCostUSD * float64(k) / 25
+			d, err := s.DecideHour(in)
+			if err != nil {
+				t.Fatalf("hour %d budget %v: %v", h, in.BudgetUSD, err)
+			}
+			cutoffs += d.Solver.Cutoffs
+			if k > 0 {
+				allow := epsilon*scale*math.Max(0, prev.PredictedCostUSD-d.PredictedCostUSD) + 1e-9*lam
+				if prev.Step == StepPremiumOnly {
+					allow += budgetSlack * lam
+				}
+				if d.Served < prev.Served-allow {
+					t.Errorf("hour %d: budget %v serves %v (%v), less than %v (%v) at a lower budget, beyond the %v allowance",
+						h, in.BudgetUSD, d.Served, d.Step, prev.Served, prev.Step, allow)
+				}
+				if d.Served < prev.Served {
+					traded++
+				}
+			}
+			prev = d
+		}
+	}
+	t.Logf("%d budget steps served less within the allowance, %d step-1 cutoffs", traded, cutoffs)
+	if cutoffs == 0 {
+		t.Error("no budget of the sweep stopped step 1 at its cutoff")
+	}
+}

@@ -99,8 +99,12 @@ func (s *System) solveOptions() milp.Options {
 	return milp.Options{Deadline: s.opts.SolveDeadline}
 }
 
-// epsilon is the cost tie-break weight in the throughput-maximization
-// objective: small enough to never trade throughput for cost.
+// epsilon is the cost weight in step 2's objective max Σx − ε·cost, x in
+// scaled load units (lambdaScale). It breaks ties toward cheaper plans, and
+// it also trades: of two plans within budget, step 2 may pick one that
+// serves Δx scaled units (Δx·scale req/h) less when it costs more than Δx/ε
+// dollars less. So a decision may serve up to ε·scale·Δcost req/h less
+// than another plan the budget allows. Changing it moves bills.
 const epsilon = 1e-4
 
 func (o Options) capPenalty() float64 {

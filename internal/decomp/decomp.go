@@ -100,7 +100,9 @@ type Instance struct {
 	// an upper bound for MaxLoadWithinBudget (+Inf = no balance row).
 	TargetLoad float64
 	// BudgetUSD bounds Σ cost for MaxLoadWithinBudget (+Inf = no budget row).
-	// Ignored for MinCostServeAll.
+	// For MinCostServeAll it is a cutoff (+Inf = none): once the loop holds
+	// a feasible primal, a dual bound above BudgetUSD stops it with Status
+	// OverBudget.
 	BudgetUSD float64
 	// Epsilon is the cost tie-break weight in the MaxLoadWithinBudget
 	// objective Σ load − ε·Σ cost (0 = pure load maximization).
@@ -241,6 +243,11 @@ const (
 	// Infeasible: no feasible primal exists (e.g. the target load exceeds
 	// fleet capacity, or mandatory minimum loads overshoot it).
 	Infeasible
+	// OverBudget (MinCostServeAll only): the dual bound proved the minimum
+	// cost above Instance.BudgetUSD, so the loop stopped there. The result
+	// holds the feasible primal found by then, which proves the target
+	// servable, and its gap.
+	OverBudget
 )
 
 // String names the status.
@@ -252,6 +259,8 @@ func (s Status) String() string {
 		return "gap-limit"
 	case Infeasible:
 		return "infeasible"
+	case OverBudget:
+		return "over-budget"
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }
@@ -428,6 +437,10 @@ func Solve(inst Instance, opt Options) (Result, error) {
 			} else {
 				stall++
 			}
+			if haveBest && dualBest > inst.BudgetUSD {
+				res.Status = OverBudget
+				break
+			}
 		}
 		if stall >= stallLimit {
 			theta, stall = math.Max(theta/2, 1e-4), 0
@@ -500,7 +513,7 @@ func Solve(inst Instance, opt Options) (Result, error) {
 		return res, nil
 	}
 	res.Gap = relGap(dualBest, best.obj, maxSense)
-	if res.Status != Converged && res.Gap <= opt.gapTol() {
+	if res.Status == GapLimit && res.Gap <= opt.gapTol() {
 		res.Status = Converged
 	}
 	res.Load, res.CostUSD = best.load*sL, best.cost*sC

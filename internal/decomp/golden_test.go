@@ -54,6 +54,12 @@ func minCostFleet(n int) Instance {
 	return inst
 }
 
+// withCutoff sets a min-cost instance's cutoff.
+func withCutoff(inst Instance, budget float64) Instance {
+	inst.BudgetUSD = budget
+	return inst
+}
+
 // TestSolveGolden pins Solve's answers bit for bit on both senses: seeded
 // paper fleets (max load within budget) and min-cost serve-all instances.
 // The digests were recorded before the polish memo existed, so they prove
@@ -74,6 +80,12 @@ func TestSolveGolden(t *testing.T) {
 		{"fleet-200-seed1", FromFleet(milp.NewPaperFleet(200, 1)), 0xedb9ff6b2a9a1144, -1, -1},
 		{"mincost-two-sites", Instance{Sites: twoSites(), Sense: MinCostServeAll, TargetLoad: 220, BudgetUSD: math.Inf(1)}, 0xdc5f610c5df86ab9, -1, -1},
 		{"mincost-40", minCostFleet(40), 0x3782bdda2b2fb633, -1, -1},
+		// The uncut solve ends at cost 18529 with its dual bound at 18381. A
+		// cutoff of 18000 stops the loop after its first iteration (bound
+		// 18269, over-budget, holding the bootstrap primal at 24037), and
+		// one over the primal leaves the solve as it was.
+		{"mincost-40/cutoff-under-dual-bound", withCutoff(minCostFleet(40), 18000), 0x85af02b46aee365a, 1, 41},
+		{"mincost-40/cutoff-over-primal", withCutoff(minCostFleet(40), 19000), 0x3782bdda2b2fb633, -1, -1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

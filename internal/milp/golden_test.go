@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
+
+	"billcap/internal/lp"
 )
 
 // xDigest hashes the float bits of an answer's X.
@@ -50,14 +53,19 @@ func goldenOf(s Solution) searchGolden {
 // the hard knapsack under a node cap. A change that moves a single pivot of
 // the root solve or of any node re-solve moves a pivot or an update count
 // here, at the solver, before it reaches the daemon digests.
+//
+// NewPaperHour maximizes, so a cutoff is worse than an answer when it lies
+// above it. Hour 2 at 13 sites has its root LP bound at 4372.17 and its
+// optimum at 4352.44: a cutoff of 4400 stops the solve after the root,
+// and one of 4300 leaves the search as it was.
 func TestSearchGolden(t *testing.T) {
-	hour := func(sites int, warm bool) Solution {
-		var opt Options
+	hourWith := func(sites int, warm bool, opt Options) Solution {
 		if warm {
 			opt.StartBasis = NewPaperHour(sites, PaperHourBudget(sites, 1)).Solve().RootBasis
 		}
 		return NewPaperHour(sites, PaperHourBudget(sites, 2)).SolveWithOptions(opt)
 	}
+	hour := func(sites int, warm bool) Solution { return hourWith(sites, warm, Options{}) }
 	cases := []struct {
 		name  string
 		solve func() Solution
@@ -71,12 +79,27 @@ func TestSearchGolden(t *testing.T) {
 			searchGolden{Optimal, 0x40b100717e4b17e4, 0x457096d39b791f1d, 227, 3266, 3, 3253, 1}},
 		{"paper-hour-13/warm", func() Solution { return hour(13, true) },
 			searchGolden{Optimal, 0x40b100717e4b17e5, 0x90755937f34dc9ec, 227, 3129, 0, 3129, 1}},
+		{"paper-hour-13/cold/cutoff-over-root-bound", func() Solution { return hourWith(13, false, Options{Cutoff: 4400}) },
+			searchGolden{Cutoff, 0, 0xcbf29ce484222325, 1, 216, 3, 203, 0}},
+		{"paper-hour-13/cold/cutoff-under-optimum", func() Solution { return hourWith(13, false, Options{Cutoff: 4300}) },
+			searchGolden{Optimal, 0x40b100717e4b17e4, 0x457096d39b791f1d, 227, 3266, 3, 3253, 1}},
 		{"knapsack-20/max-nodes-1000", func() Solution { return NewHardKnapsack(20, 0).SolveWithOptions(Options{MaxNodes: 1000}) },
 			searchGolden{Limit, 0x408aa00000000000, 0xa98a64a110b943f8, 1001, 1926, 0, 1916, 12}},
 	}
 	for _, c := range cases {
 		if got := goldenOf(c.solve()); got != c.want {
 			t.Errorf("%s:\n got %#v\nwant %#v", c.name, got, c.want)
+		}
+	}
+	// A cut solve hands on the root basis the uncut one does, cold or
+	// crashed, so the next hour starts from the same place.
+	for _, warm := range []bool{false, true} {
+		cut, full := hourWith(13, warm, Options{Cutoff: 4400}), hour(13, warm)
+		if !reflect.DeepEqual(cut.RootBasis, full.RootBasis) || cut.RootWarm != full.RootWarm || reflect.DeepEqual(cut.RootBasis, lp.Basis{}) {
+			t.Errorf("warm %v: cut solve's root basis (warm %v) differs from the uncut solve's (warm %v)", warm, cut.RootWarm, full.RootWarm)
+		}
+		if !math.IsInf(cut.Gap, 1) {
+			t.Errorf("warm %v: cut solve reports gap %v, want +Inf", warm, cut.Gap)
 		}
 	}
 }

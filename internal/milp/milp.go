@@ -79,6 +79,12 @@ const (
 	Unbounded                // the LP relaxation is unbounded
 	Limit                    // stopped at the node limit; Solution may hold an incumbent
 	TimeLimit                // deadline expired or canceled; Solution may hold an incumbent
+	// Cutoff: the root relaxation's bound proved every integer point worse
+	// than Options.Cutoff, so the search never branched. X is empty and Gap
+	// +Inf; RootBasis and RootWarm are set as after an optimal solve. The
+	// problem may also be integer-infeasible: only the skipped search would
+	// have told.
+	Cutoff
 )
 
 // String names the status.
@@ -94,6 +100,8 @@ func (s Status) String() string {
 		return "node-limit"
 	case TimeLimit:
 		return "time-limit"
+	case Cutoff:
+		return "cutoff"
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }
@@ -115,11 +123,11 @@ type Solution struct {
 	Elapsed            time.Duration // wall time of the solve
 	Gap                float64       // |bound − incumbent| remaining at stop (0 when Optimal)
 	// RootBasis is the optimal simplex basis of the base LP relaxation
-	// (empty when the root did not solve to optimality). Feeding it back as
-	// Options.StartBasis on a problem of the same family — the next hour of
-	// a diurnal sequence, whatever segments came into or went out of reach —
-	// lets the LP crash straight to a near-optimal basis instead of running
-	// phase 1.
+	// (empty when the root did not solve to optimality, set after a
+	// Cutoff). Feeding it back as Options.StartBasis on a problem of the
+	// same family — the next hour of a diurnal sequence, whatever segments
+	// came into or went out of reach — lets the LP crash straight to a
+	// near-optimal basis instead of running phase 1.
 	RootBasis lp.Basis
 	// RootWarm reports that the root LP finished from Options.StartBasis.
 	RootWarm bool
@@ -161,6 +169,12 @@ type Options struct {
 	// hour's solve. A basis the crash cannot repair within its pivot cap
 	// falls back to the cold two-phase solve.
 	StartBasis lp.Basis
+	// Cutoff, when nonzero, is the worst objective value the caller still
+	// has a use for: right after the root LP, a root bound strictly worse
+	// than Cutoff (above it when minimizing, below it when maximizing) ends
+	// the solve with Status Cutoff after one node. The root is the only
+	// check, so a search that starts runs to its usual end. 0 → no cutoff.
+	Cutoff float64
 }
 
 // withDefaults fills the zero-value knobs.
@@ -281,7 +295,12 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 		// optimal" when nothing was proven at all.
 		return p.finish(Limit, nil, math.Inf(1), sign, 1, eff, nil)
 	}
-	sol := p.search(opt, start, warm, root, eff)
+	var sol Solution
+	if opt.Cutoff != 0 && sign*root.Objective > sign*opt.Cutoff {
+		sol = p.finish(Cutoff, nil, math.Inf(1), sign, 1, eff, nil)
+	} else {
+		sol = p.search(opt, start, warm, root, eff)
+	}
 	sol.RootBasis = warm.Basis()
 	sol.RootWarm = root.Warm
 	return sol

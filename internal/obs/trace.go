@@ -76,6 +76,9 @@ type SolverTrace struct {
 	// carried from an earlier hour. Such a root can crash straight to its
 	// optimum, so an hour may report solves with no pivots.
 	WarmStarts int `json:"warmStarts,omitempty"`
+	// Cutoffs is 1 when step 1 stopped once a bound proved the hour over
+	// budget, so step 2 answered without step 1's search.
+	Cutoffs int `json:"cutoffs,omitempty"`
 	// DecompIterations / DecompGap / DecompDualBound describe the Lagrangian
 	// dual-decomposition effort when the fleet-scale path served the hour:
 	// subgradient iterations across the hour's step solves, the worst proven

@@ -575,6 +575,7 @@ func decisionTrace(cfg Config, h int, in core.HourInput, dec core.Decision, real
 			LPRefactorizations: dec.Solver.LPRefactorizations,
 			LPBasisUpdates:     dec.Solver.LPBasisUpdates,
 			WarmStarts:         dec.Solver.WarmStarts,
+			Cutoffs:            dec.Solver.Cutoffs,
 
 			DecompIterations: dec.Solver.DecompIterations,
 			DecompGap:        dec.Solver.DecompGap,
